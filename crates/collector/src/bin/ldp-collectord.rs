@@ -6,16 +6,22 @@
 //! same data directory, and asserts bit-identical recovery.
 //!
 //! ```text
-//! ldp-collectord --addr 127.0.0.1:0 --data-dir /var/lib/ldp \
+//! ldp-collectord [--addr 127.0.0.1:0] [--data-dir DIR]
 //!                [--fsync always|off|every:<bytes>] [--shards N]
-//!                [--stall-ms MS] [--checkpoint PATH]
+//!                [--stall-ms MS]
 //! ```
+//!
+//! Without `--data-dir` the daemon keeps rounds in memory only and
+//! refuses `CHECKPOINT` frames with a typed `CHECKPOINT_FAILED`; with it,
+//! every state-changing frame is journaled under `--fsync` (default
+//! `always`) and checkpoints snapshot into `DIR`.
 //!
 //! Prints `ADDR <socket-addr>` on stdout once bound (the harness reads
 //! the ephemeral port from it), then serves until a client sends
 //! `SHUTDOWN`. The env var `LDP_WAL_KILL_AFTER_BYTES=<n>` arms the
-//! journal's torn-write fault hook: the process aborts mid-append once
-//! the journal has written `n` bytes — crash-harness only.
+//! journal's torn-write fault hook when the data dir is opened (before
+//! startup compaction): the process aborts mid-append once the journal
+//! has written `n` bytes — crash-harness only.
 
 use ldp_collector::{CollectorConfig, CollectorError, CollectorServer, FsyncPolicy};
 use std::io::Write;
@@ -27,7 +33,6 @@ struct Args {
     fsync: FsyncPolicy,
     shards: Option<usize>,
     stall_ms: Option<u64>,
-    checkpoint: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         fsync: FsyncPolicy::Always,
         shards: None,
         stall_ms: None,
-        checkpoint: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -62,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "--stall-ms needs an integer".to_string())?,
                 )
             }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -78,9 +81,6 @@ fn run(args: Args) -> Result<(), CollectorError> {
     if let Some(ms) = args.stall_ms {
         server = server.with_stall_timeout(Duration::from_millis(ms));
     }
-    if let Some(path) = &args.checkpoint {
-        server = server.with_checkpoint_path(path);
-    }
     if let Some(dir) = &args.data_dir {
         server = server.with_data_dir(dir, args.fsync)?;
         if let Some(recovery) = server.recovery() {
@@ -89,12 +89,6 @@ fn run(args: Args) -> Result<(), CollectorError> {
                 recovery.rounds.len(),
                 recovery.replayed_records
             );
-        }
-        if let Ok(spec) = std::env::var("LDP_WAL_KILL_AFTER_BYTES") {
-            match spec.parse::<u64>() {
-                Ok(bytes) => server = server.with_wal_kill_after_bytes(bytes),
-                Err(_) => eprintln!("ignoring unparsable LDP_WAL_KILL_AFTER_BYTES={spec}"),
-            }
         }
     }
     let addr = server.local_addr()?;

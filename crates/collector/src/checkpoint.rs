@@ -20,12 +20,10 @@
 //! bit patterns) under its own magic `LDPK`, so a checkpoint is as
 //! versioned and as type-checked on load as a network frame: every
 //! malformed or geometry-mismatched file is a typed
-//! [`CollectorError::BadCheckpoint`]. Version 2 added the owning tenant
-//! after the round id; version-1 files are refused with a typed error
-//! rather than silently assigned to tenant 0. Version 3 added the
-//! `rejected_malformed` counter after `rejected_invalid`; version-2
-//! files still resume (the counter restores as zero — those rejects
-//! predate the split and were counted as invalid).
+//! [`CollectorError::BadCheckpoint`]. Only the current
+//! [`CHECKPOINT_VERSION`] is read: older files (v1 had no owning tenant,
+//! v2 no `rejected_malformed` counter) are refused with the same typed
+//! error rather than guessed at.
 
 use crate::error::CollectorError;
 use crate::round::{write_lock, CollectorConfig, RoundChannel, RoundCollector, Store};
@@ -39,11 +37,9 @@ use std::time::Instant;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 
 /// Checkpoint format version (3: the `rejected_malformed` counter
-/// follows `rejected_invalid`; 2 added the owning tenant).
+/// follows `rejected_invalid`; 2 added the owning tenant). The only
+/// version [`RoundCollector::resume`] accepts.
 pub const CHECKPOINT_VERSION: u8 = 3;
-
-/// Oldest version [`RoundCollector::resume`] still accepts.
-const CHECKPOINT_MIN_VERSION: u8 = 2;
 
 const CHANNEL_ADJACENCY: u8 = 0;
 const CHANNEL_DEGREE_VECTOR: u8 = 1;
@@ -202,8 +198,7 @@ fn parse_head(buf: &mut &[u8]) -> Result<CheckpointHead, CollectorError> {
             detail: "bad magic",
         });
     }
-    let version = header[4];
-    if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+    if header[4] != CHECKPOINT_VERSION {
         return Err(CollectorError::BadCheckpoint {
             detail: "unsupported checkpoint version",
         });
@@ -232,11 +227,7 @@ fn parse_head(buf: &mut &[u8]) -> Result<CheckpointHead, CollectorError> {
     let submitted = get_varint(buf).map_err(bad("submitted"))?;
     let rejected_quota = get_varint(buf).map_err(bad("rejected_quota"))?;
     let rejected_invalid = get_varint(buf).map_err(bad("rejected_invalid"))?;
-    let rejected_malformed = if version >= 3 {
-        get_varint(buf).map_err(bad("rejected_malformed"))?
-    } else {
-        0
-    };
+    let rejected_malformed = get_varint(buf).map_err(bad("rejected_malformed"))?;
     let closed = take(buf, 1)?[0] != 0;
     let num_shards = get_varint(buf).map_err(bad("shard count"))? as usize;
     if num_shards == 0 || num_shards > 1 << 16 {
@@ -519,53 +510,6 @@ mod tests {
         assert_eq!(group_totals, vec![9.0, 36.0]);
     }
 
-    /// Version pin for the counter block: a version-2 file — no
-    /// `rejected_malformed` varint — still resumes, restoring that
-    /// counter as zero, and intake continues as if uninterrupted.
-    /// (Versions outside the accepted range are covered by
-    /// `malformed_checkpoints_are_typed`.)
-    #[test]
-    fn version_2_checkpoints_still_resume() {
-        let engine = RoundCollector::new(config()).unwrap();
-        engine
-            .open_round(
-                2,
-                RoundChannel::DegreeVector {
-                    population: 9,
-                    groups: 2,
-                },
-                None,
-            )
-            .unwrap();
-        for i in 0..6u64 {
-            engine
-                .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
-                .unwrap();
-        }
-        let mut snapshot = Vec::new();
-        engine.checkpoint(2, &mut snapshot).unwrap();
-        // Rewrite v3 → v2 by hand. With this round's small values every
-        // leading field is a single byte, so `rejected_malformed` sits
-        // exactly at offset 14 (magic ×4, version, round id, tenant,
-        // channel tag, population, groups, quota, submitted,
-        // rejected_quota, rejected_invalid precede it).
-        const MALFORMED_OFFSET: usize = 14;
-        assert_eq!(snapshot[MALFORMED_OFFSET], 0, "layout drifted");
-        snapshot.remove(MALFORMED_OFFSET);
-        snapshot[4] = 2;
-
-        let resumed = RoundCollector::resume(config(), &mut snapshot.as_slice()).unwrap();
-        for i in 6..9u64 {
-            resumed
-                .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
-                .unwrap();
-        }
-        let counters = resumed.close_round(2).unwrap();
-        assert_eq!(counters.accepted, 9);
-        assert_eq!(counters.rejected_malformed, 0);
-        assert!(counters.finalized_at_close);
-    }
-
     #[test]
     fn malformed_checkpoints_are_typed() {
         // Empty, bad magic, bad version, truncated tail.
@@ -597,6 +541,38 @@ mod tests {
         assert!(matches!(
             RoundCollector::resume(config(), &mut snapshot.as_slice()),
             Err(CollectorError::BadCheckpoint { .. })
+        ));
+        // A genuine version-2 file — no `rejected_malformed` varint — is
+        // refused, not resumed with the counter guessed. With this
+        // degree-vector round's small values every leading field is one
+        // byte, so the counter sits exactly at offset 14 (magic ×4,
+        // version, round id, tenant, channel tag, population, groups,
+        // quota, submitted, rejected_quota, rejected_invalid precede it).
+        let engine = RoundCollector::new(config()).unwrap();
+        engine
+            .open_round(
+                2,
+                RoundChannel::DegreeVector {
+                    population: 9,
+                    groups: 2,
+                },
+                None,
+            )
+            .unwrap();
+        engine
+            .ingest(2, 0, UserReport::DegreeVector(vec![1.0, 0.0]))
+            .unwrap();
+        let mut v2 = Vec::new();
+        engine.checkpoint(2, &mut v2).unwrap();
+        const MALFORMED_OFFSET: usize = 14;
+        assert_eq!(v2[MALFORMED_OFFSET], 0, "layout drifted");
+        v2.remove(MALFORMED_OFFSET);
+        v2[4] = 2;
+        assert!(matches!(
+            RoundCollector::resume(config(), &mut v2.as_slice()),
+            Err(CollectorError::BadCheckpoint {
+                detail: "unsupported checkpoint version"
+            })
         ));
     }
 }

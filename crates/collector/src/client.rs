@@ -29,8 +29,8 @@
 //! its round. The client tracks a **current round** — set by
 //! [`CollectorClient::open_round`] or explicitly with
 //! [`CollectorClient::set_round`] (uploader sessions that never open
-//! anything use the latter) — and stamps it into each `REPORT` /
-//! `REPORT_BATCH` frame. Switching rounds flushes the queued batch
+//! anything use the latter) — and stamps it into each `REPORT_BATCH`
+//! frame. Switching rounds flushes the queued batch
 //! first, so a batch frame is always homogeneous in its round. Rounds
 //! are owned by a tenant ([`CollectorClient::with_tenant`], default 0)
 //! for the daemon's per-tenant admission quotas.
@@ -250,65 +250,6 @@ impl CollectorClient {
         write_frame(&mut self.writer, frames::OPEN, &payload)?;
         self.expect(frames::ACK)?;
         self.round = round_id;
-        Ok(())
-    }
-
-    /// Streams one report as its own `REPORT` frame (buffered,
-    /// unacknowledged), routed to the current round. Any queued batch is
-    /// emitted first so the daemon sees reports in submission order.
-    ///
-    /// # Errors
-    /// Transport failures only; rejects surface in the close summary.
-    pub fn send_report(&mut self, user_id: u64, report: &UserReport) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        wire::encode_routed_report(self.round, user_id, report, &mut payload);
-        let result = write_frame(&mut self.writer, frames::REPORT, &payload);
-        self.payload = payload;
-        result?;
-        Ok(())
-    }
-
-    /// Streams one adjacency report from a borrow — no [`UserReport`]
-    /// wrapping, no clone, one reused buffer.
-    ///
-    /// # Errors
-    /// Transport failures only.
-    pub fn send_adjacency_report(
-        &mut self,
-        user_id: u64,
-        report: &AdjacencyReport,
-    ) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        put_varint(self.round, &mut payload);
-        wire::encode_adjacency_report(user_id, report, &mut payload);
-        let result = write_frame(&mut self.writer, frames::REPORT, &payload);
-        self.payload = payload;
-        result?;
-        Ok(())
-    }
-
-    /// Streams one degree-vector report from a borrowed slice — the
-    /// degree-vector twin of [`Self::send_adjacency_report`].
-    ///
-    /// # Errors
-    /// Transport failures only.
-    pub fn send_degree_vector(
-        &mut self,
-        user_id: u64,
-        vector: &[f64],
-    ) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        put_varint(self.round, &mut payload);
-        wire::encode_degree_vector_report(user_id, vector, &mut payload);
-        let result = write_frame(&mut self.writer, frames::REPORT, &payload);
-        self.payload = payload;
-        result?;
         Ok(())
     }
 
@@ -576,11 +517,11 @@ impl CollectorClient {
         }
     }
 
-    /// Asks the daemon to snapshot `round_id` to its checkpoint path.
+    /// Asks the daemon to snapshot `round_id` into its data directory.
     ///
     /// # Errors
-    /// Daemon refusals (no path configured, unknown round) and transport
-    /// failures.
+    /// Daemon refusals (`CHECKPOINT_FAILED` from a daemon without a data
+    /// dir, unknown round) and transport failures.
     pub fn checkpoint(&mut self, round_id: u64) -> Result<(), CollectorError> {
         self.send_batch()?;
         let mut payload = Vec::new();

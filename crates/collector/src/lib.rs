@@ -40,8 +40,8 @@
 //! * [`server`] / [`client`] — the TCP daemon over
 //!   [`std::net::TcpListener`] and its typed client, speaking the
 //!   [`ldp_protocols::wire`] frame codec (length-prefixed frames, varint
-//!   ids, bit-packed rows, versioned handshake — **wire v2** routes every
-//!   report frame by round id). The daemon serves up to
+//!   ids, bit-packed rows, versioned handshake — **wire v3** routes every
+//!   report batch by round id). The daemon serves up to
 //!   [`CollectorConfig::max_sessions`] connections on a bounded pool of
 //!   [`CollectorConfig::worker_threads`] workers (no thread per session),
 //!   refusing past-cap connects with a typed `SESSION_CAP` error instead

@@ -35,8 +35,8 @@ const TRACE_CAPACITY: usize = 1024;
 /// `1 << FOLD_SAMPLE_SHIFT` reports: timing every fold would put two
 /// `Instant::now` calls on the per-report path, which is exactly the
 /// overhead budget this plane must stay under. On the batch path the
-/// decision is a mask of the connection's plain fold counter; on the
-/// singleton path it reads the owning shard's fold counter (a relaxed
+/// decision is a mask of the session's plain fold counter; on the
+/// in-process singleton path it reads the owning shard's fold counter (a relaxed
 /// load). Either way the untimed majority pays no atomic write for
 /// the privilege of not being timed.
 pub(crate) const FOLD_SAMPLE_SHIFT: u32 = 6;
@@ -72,7 +72,8 @@ pub struct CollectorMetrics {
     pub(crate) bytes_read: Arc<Counter>,
     /// Complete frames handed to `process_frame`.
     pub(crate) frames_decoded: Arc<Counter>,
-    /// `REPORT_BATCH` frames among them.
+    /// `REPORT_BATCH` payloads folded: live frames, and the journal's
+    /// batch records replayed at recovery (same fold path).
     pub(crate) batches_decoded: Arc<Counter>,
     /// Reports folded, per shard (index = `user_id % shards`); the sum
     /// over shards reconciles exactly with a round's accepted count.
@@ -81,7 +82,8 @@ pub struct CollectorMetrics {
     pub(crate) fold_nanos: Arc<Histogram>,
     /// Sampled wait to acquire the owning shard's mutex, nanoseconds.
     pub(crate) shard_lock_wait_nanos: Arc<Histogram>,
-    /// Wall time one `REPORT_BATCH` frame took to fold end-to-end.
+    /// Wall time one `REPORT_BATCH` payload took to fold end-to-end
+    /// (live or replayed).
     pub(crate) batch_nanos: Arc<Histogram>,
     /// Connections parked in the worker rotation queue right now.
     pub(crate) queue_depth: Arc<Gauge>,

@@ -26,15 +26,14 @@
 //! sessions and other rounds interleave (OR-folds into
 //! exclusively-owned rows commute).
 //!
-//! ## Frame protocol (wire version 2)
+//! ## Frame protocol (wire version 3)
 //!
 //! | kind | direction | payload |
 //! |------|-----------|---------|
 //! | `OPEN` `0x01` | c→s | round id, tenant, channel tag + params, quota (varints/f64) |
-//! | `REPORT` `0x02` | c→s | round id + one encoded [`UserReport`](ldp_protocols::UserReport) (no per-report ack) |
 //! | `CLOSE` `0x03` | c→s | round id |
 //! | `FINALIZE` `0x04` | c→s | round id |
-//! | `CHECKPOINT` `0x05` | c→s | round id (snapshots that round to the configured path) |
+//! | `CHECKPOINT` `0x05` | c→s | round id (snapshots that round into the data dir; refused with `CHECKPOINT_FAILED` on a daemon started without `--data-dir`) |
 //! | `SHUTDOWN` `0x06` | c→s | empty; stops the accept loop |
 //! | `REPORT_BATCH` `0x07` | c→s | round id + varint count + length-prefixed reports (no ack) |
 //! | `SYNC` `0x08` | c→s | empty; acked once every prior frame of this session is ingested |
@@ -46,7 +45,11 @@
 //! | `DEGREE_SUMMARY` `0x85` | s→c | group totals + accepted count |
 //! | `STATS_REPLY` `0x86` | s→c | typed metric samples (see [`wire::decode_stats_reply`]) |
 //!
-//! `REPORT` and `REPORT_BATCH` frames are deliberately unacknowledged —
+//! `0x02` was the singleton `REPORT` frame of wire v2; v3 retired it (a
+//! `REPORT_BATCH` of one covers a single report) and never reuses the
+//! byte.
+//!
+//! `REPORT_BATCH` frames are deliberately unacknowledged —
 //! per-report round-trips would cap throughput at the RTT; rejects
 //! (duplicates, quota, malformed) are counted and returned in the `CLOSE`
 //! summary, which is also where a poisoning analyst reads the attack
@@ -54,10 +57,23 @@
 //! frames are processed in order, so its `ACK` proves every report this
 //! session sent is folded — the coordinator can then `CLOSE` without
 //! racing the uploaders' socket buffers.
+//!
+//! ## One apply path
+//!
+//! Every state-changing frame — `OPEN`, `REPORT_BATCH`, `CLOSE`,
+//! `FINALIZE`, `CHECKPOINT` — is applied by one function, `apply_frame`.
+//! The plain daemon, the data-dir daemon, and journal replay
+//! ([`crate::wal`]) all call it; replay passes no journal and a
+//! throwaway session. On a data-dir daemon it holds the journal guard
+//! for the whole frame, in write-ahead order: a batch is appended
+//! verbatim and then folded; `OPEN`/`CLOSE` apply, append, then reply;
+//! `FINALIZE` applies, appends, syncs, then replies. The
+//! `ack-before-durable` lint rule pins that no reply precedes the
+//! append.
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::round::{CollectorConfig, RoundChannel, RoundCollector, RoundOutcome};
+use crate::round::{CollectorConfig, RoundChannel, RoundCollector, RoundCounters, RoundOutcome};
 use crate::wal::{DurableLog, FsyncPolicy, Recovery};
 use ldp_obs::{Gauge, TraceEvent};
 use ldp_protocols::wire::{
@@ -67,7 +83,7 @@ use ldp_protocols::wire::{
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -99,7 +115,8 @@ pub mod codes {
     pub const ROUND_INCOMPLETE: u8 = 5;
     /// Malformed frame or parameter.
     pub const BAD_FRAME: u8 = 6;
-    /// Checkpointing failed (no path configured, I/O failure).
+    /// Checkpointing failed: the daemon has no data dir (`CHECKPOINT`
+    /// needs one), or the snapshot or its journal marker failed to write.
     pub const CHECKPOINT_FAILED: u8 = 7;
     /// Anything else.
     pub const INTERNAL: u8 = 8;
@@ -162,7 +179,6 @@ pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct CollectorServer {
     listener: TcpListener,
     engine: RoundCollector,
-    checkpoint_path: Option<PathBuf>,
     stall_timeout: Duration,
     durable: Option<DurableLog>,
     recovery: Option<Recovery>,
@@ -177,20 +193,10 @@ impl CollectorServer {
         Ok(CollectorServer {
             listener: TcpListener::bind(addr)?,
             engine: RoundCollector::new(config)?,
-            checkpoint_path: None,
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             durable: None,
             recovery: None,
         })
-    }
-
-    /// Where mid-round snapshots land when a `CHECKPOINT` frame arrives.
-    /// Ignored once [`Self::with_data_dir`] is set — a durable daemon
-    /// checkpoints into its data directory under the journal's epoch
-    /// protocol instead.
-    pub fn with_checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
     }
 
     /// Turns on the crash-durability plane: every state-changing frame is
@@ -199,6 +205,8 @@ impl CollectorServer {
     /// incarnation left there — checkpoint snapshots first, then the
     /// journal tail, rebuilding each open round bit-identically (see
     /// [`crate::wal`]). Read what was rebuilt via [`Self::recovery`].
+    /// `CHECKPOINT` frames snapshot into `dir` under the journal's epoch
+    /// protocol; a daemon without a data dir refuses them.
     ///
     /// # Errors
     /// I/O failures on `dir`, and [`CollectorError::BadJournal`] /
@@ -218,17 +226,6 @@ impl CollectorServer {
     /// What [`Self::with_data_dir`] rebuilt, when it ran.
     pub fn recovery(&self) -> Option<&Recovery> {
         self.recovery.as_ref()
-    }
-
-    /// Arms the journal's torn-write fault hook: the process aborts
-    /// mid-append once the journal has written this many bytes. Crash
-    /// harness only.
-    #[doc(hidden)]
-    pub fn with_wal_kill_after_bytes(self, bytes: u64) -> Self {
-        if let Some(durable) = &self.durable {
-            durable.lock().set_kill_after_bytes(bytes);
-        }
-        self
     }
 
     /// How long a connection may sit mid-frame (half-written batch,
@@ -258,7 +255,6 @@ impl CollectorServer {
     /// Accept failures on the listener.
     pub fn serve(&mut self) -> Result<(), CollectorError> {
         let engine = &self.engine;
-        let checkpoint_path = self.checkpoint_path.as_deref();
         let durable = self.durable.as_ref();
         let listener = &self.listener;
         let stall = self.stall_timeout;
@@ -282,9 +278,7 @@ impl CollectorServer {
             let workers = engine.config().worker_threads;
             for _ in 0..workers {
                 let shared = &shared;
-                scope.spawn(move || {
-                    worker(shared, engine, checkpoint_path, durable, stall, workers)
-                });
+                scope.spawn(move || worker(shared, engine, durable, stall, workers));
             }
             let result = (|| -> Result<(), CollectorError> {
                 loop {
@@ -326,27 +320,7 @@ impl CollectorServer {
         ),
         CollectorError,
     > {
-        Self::spawn_with(config, None)
-    }
-
-    /// [`Self::spawn`] with a checkpoint path.
-    ///
-    /// # Errors
-    /// As [`Self::bind`].
-    pub fn spawn_with(
-        config: CollectorConfig,
-        checkpoint_path: Option<PathBuf>,
-    ) -> Result<
-        (
-            SocketAddr,
-            std::thread::JoinHandle<Result<(), CollectorError>>,
-        ),
-        CollectorError,
-    > {
         let mut server = CollectorServer::bind(("127.0.0.1", 0), config)?;
-        if let Some(path) = checkpoint_path {
-            server = server.with_checkpoint_path(path);
-        }
         let addr = server.local_addr()?;
         let handle = std::thread::spawn(move || server.serve());
         Ok((addr, handle))
@@ -528,6 +502,41 @@ enum Pump {
     Shutdown,
 }
 
+/// What applying frames needs of a session beyond its socket: staged
+/// replies, the warn-once set, and the fold-sampling key. Live
+/// connections own one; journal replay applies records through a
+/// throwaway one.
+#[derive(Default)]
+pub(crate) struct Session {
+    /// Staged outbound replies, flushed at the end of each burst.
+    pub(crate) out: Vec<u8>,
+    /// Misdirected round ids already answered with a typed ERR — one
+    /// warning per (connection, round), so a flood of unknown-round
+    /// reports cannot turn the daemon into a reply amplifier.
+    warned: Vec<u64>,
+    /// Plain count of reports this session has folded — the
+    /// latency-sampling key (every `1 << FOLD_SAMPLE_SHIFT`-th report
+    /// gets timed), kept out of the registry so the decision costs no
+    /// atomic.
+    folds_seen: u64,
+}
+
+impl Session {
+    /// Stages a typed ERR for a misdirected (unknown/closed) round the
+    /// first time this session trips over its id; later trips, and any
+    /// past the [`WARN_CAP`] distinct ids, stay silent.
+    fn warn_once(&mut self, round_id: u64, e: &CollectorError, metrics: &CollectorMetrics) {
+        if self.warned.contains(&round_id) || self.warned.len() >= WARN_CAP {
+            return;
+        }
+        self.warned.push(round_id);
+        let mut reply = Vec::new();
+        encode_error(e, &mut reply);
+        let _ = write_frame(&mut self.out, frames::ERR, &reply);
+        metrics.on_err(error_code(e));
+    }
+}
+
 /// One multiplexed connection: a nonblocking socket plus the incremental
 /// frame-assembly state a worker needs to continue it from any byte
 /// boundary.
@@ -535,20 +544,10 @@ struct Conn {
     stream: TcpStream,
     /// Unparsed inbound bytes (handshake, then length-prefixed frames).
     buf: Vec<u8>,
-    /// Staged outbound replies, flushed at the end of each burst.
-    out: Vec<u8>,
     handshaken: bool,
-    /// Misdirected round ids already answered with a typed ERR — one
-    /// warning per (connection, round), so a flood of unknown-round
-    /// reports cannot turn the daemon into a reply amplifier.
-    warned: Vec<u64>,
     /// Last moment bytes arrived; drives the mid-frame stall timeout.
     last_progress: Instant,
-    /// Plain count of reports this connection has pushed through the
-    /// batch path — the latency-sampling key (every
-    /// `1 << FOLD_SAMPLE_SHIFT`-th report gets timed), kept out of the
-    /// registry so the decision costs no atomic.
-    folds_seen: u64,
+    session: Session,
 }
 
 impl Conn {
@@ -561,11 +560,9 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
-            out: Vec::new(),
             handshaken: false,
-            warned: Vec::new(),
             last_progress: Instant::now(),
-            folds_seen: 0,
+            session: Session::default(),
         })
     }
 
@@ -596,7 +593,6 @@ impl Conn {
     fn pump(
         &mut self,
         engine: &RoundCollector,
-        checkpoint_path: Option<&Path>,
         durable: Option<&DurableLog>,
         payload_scratch: &mut Vec<u8>,
     ) -> Pump {
@@ -644,7 +640,7 @@ impl Conn {
                         &CollectorError::Wire(wire::WireError::OversizeFrame { len }),
                         &mut reply,
                     );
-                    let _ = write_frame(&mut self.out, frames::ERR, &reply);
+                    let _ = write_frame(&mut self.session.out, frames::ERR, &reply);
                     engine.metrics().on_err(codes::BAD_FRAME);
                     outcome = Some(Pump::Closed);
                     break;
@@ -655,14 +651,7 @@ impl Conn {
             payload_scratch.extend_from_slice(&self.buf[5..4 + frame_len]);
             self.buf.drain(..4 + frame_len);
             progressed = true;
-            match process_frame(
-                self,
-                engine,
-                checkpoint_path,
-                durable,
-                kind,
-                payload_scratch,
-            ) {
+            match process_frame(&mut self.session, engine, durable, kind, payload_scratch) {
                 Frame::Continue => {}
                 Frame::Shutdown => {
                     outcome = Some(Pump::Shutdown);
@@ -745,28 +734,16 @@ impl Conn {
     /// timeout), so a slow reader surfaces as a typed I/O failure on this
     /// connection instead of a busy-loop or an unbounded stall.
     fn flush_replies(&mut self) -> std::io::Result<()> {
-        if self.out.is_empty() {
+        let out = &mut self.session.out;
+        if out.is_empty() {
             return Ok(());
         }
         self.stream.set_nonblocking(false)?;
         self.stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-        let result = self.stream.write_all(&self.out);
-        self.out.clear();
+        let result = self.stream.write_all(out);
+        out.clear();
         self.stream.set_nonblocking(true)?;
         result
-    }
-
-    /// Warn-once bookkeeping for misdirected (unknown/closed) rounds.
-    /// Returns true the first time this connection trips over the id.
-    fn should_warn(&mut self, round_id: u64) -> bool {
-        if self.warned.contains(&round_id) {
-            return false;
-        }
-        if self.warned.len() >= WARN_CAP {
-            return false;
-        }
-        self.warned.push(round_id);
-        true
     }
 }
 
@@ -786,35 +763,203 @@ enum Frame {
     Fatal,
 }
 
-/// Decodes and folds one `REPORT` payload — shared verbatim by the live
-/// path and the durable path (which journals the payload first), so a
-/// journal replay of the same bytes makes the same accept/reject moves.
-fn fold_report(conn: &mut Conn, engine: &RoundCollector, payload: &[u8]) {
-    match wire::decode_routed_report(payload) {
-        Ok((round_id, user_id, report)) => ingest_routed(conn, engine, round_id, user_id, &report),
-        Err(_) => {
-            // Charge the garbage to its round if the id at least
-            // parses; otherwise the frame is simply dropped (its
-            // length prefix isolated it from the stream).
-            let mut head = payload;
-            if let Ok(round_id) = get_varint(&mut head) {
-                engine.note_invalid(round_id);
-            }
-        }
+/// Processes one complete frame, staging any reply into `session.out`.
+/// Read-only frames are answered here; every state-changing frame goes
+/// through [`apply_frame`].
+fn process_frame(
+    session: &mut Session,
+    engine: &RoundCollector,
+    durable: Option<&DurableLog>,
+    kind: u8,
+    payload: &[u8],
+) -> Frame {
+    let metrics = engine.metrics();
+    if metrics.active() {
+        metrics.frames_decoded.incr();
+        metrics.emit(TraceEvent::FrameDecoded {
+            kind,
+            len: payload.len() as u64,
+        });
     }
+    let mut reply = Vec::new();
+    let result: Result<u8, CollectorError> = match kind {
+        frames::SYNC => {
+            // Frames are processed in order, so reaching here proves
+            // every prior report of this session is folded.
+            wire::expect_end(payload)
+                .map(|()| frames::ACK)
+                .map_err(CollectorError::Wire)
+        }
+        frames::STATS => wire::expect_end(payload)
+            .map_err(CollectorError::Wire)
+            .map(|()| {
+                wire::encode_stats_reply(&metrics.wire_entries(), &mut reply);
+                frames::STATS_REPLY
+            }),
+        frames::SHUTDOWN => {
+            let _ = write_frame(&mut session.out, frames::ACK, &[]);
+            return Frame::Shutdown;
+        }
+        _ => match apply_frame(engine, durable, session, kind, payload) {
+            Ok(()) => return Frame::Continue,
+            // A batch fails only when its journal append does: the
+            // record is not durable and was not folded, and the batch is
+            // unacknowledged, so no ERR could tell the client. Dropping
+            // the connection is the honest failure.
+            Err(_) if kind == frames::REPORT_BATCH => return Frame::Fatal,
+            Err(e) => Err(e),
+        },
+    };
+    stage_reply(session, metrics, result, reply)
 }
 
-/// Decodes and folds one `REPORT_BATCH` payload (see [`fold_report`] for
-/// why both ingest paths share it).
-fn fold_batch(conn: &mut Conn, engine: &RoundCollector, payload: &[u8]) {
+/// Stages the outcome of a request/response frame: the typed reply on
+/// success, a typed `ERR` otherwise.
+fn stage_reply(
+    session: &mut Session,
+    metrics: &CollectorMetrics,
+    result: Result<u8, CollectorError>,
+    mut reply: Vec<u8>,
+) -> Frame {
+    match result {
+        Ok(reply_kind) => {
+            if write_frame(&mut session.out, reply_kind, &reply).is_err() {
+                return Frame::Fatal;
+            }
+        }
+        Err(e) => {
+            reply.clear();
+            encode_error(&e, &mut reply);
+            let _ = write_frame(&mut session.out, frames::ERR, &reply);
+            metrics.on_err(error_code(&e));
+        }
+    }
+    Frame::Continue
+}
+
+/// What [`apply_frame`] did to the engine before journaling and replying.
+enum Applied {
+    /// A report batch, folded only once its record is journaled.
+    Batch,
+    Opened,
+    Closed(RoundCounters),
+    Finalized(RoundOutcome),
+    /// The journal wrote its own marker (see
+    /// [`Journal::checkpoint_round`](crate::wal::Journal::checkpoint_round)).
+    Checkpointed,
+}
+
+/// Applies one state-changing frame (`OPEN`, `REPORT_BATCH`, `CLOSE`,
+/// `FINALIZE`, `CHECKPOINT`): the one path shared by the plain daemon,
+/// the data-dir daemon, and journal replay, which passes no journal and
+/// a throwaway session.
+///
+/// With a journal, its guard is held for the whole frame — so a
+/// checkpoint can never observe a fold its record does not cover — and
+/// the record goes down in write-ahead order. A batch is appended
+/// verbatim before it is decoded and folded, so replay re-derives
+/// rejects, not just accepts. `OPEN`/`CLOSE`/`FINALIZE` are appended
+/// once the engine accepts them and before any reply is staged;
+/// `FINALIZE` is also synced. A crash at any instant leaves the journal
+/// covering at least everything a client was told happened. The
+/// `ack-before-durable` lint rule pins that no reply precedes the
+/// append.
+///
+/// On success any reply is staged in `session.out`. On error nothing is,
+/// and the caller decides: the live daemon answers a typed `ERR` (or
+/// drops the connection when a batch's append failed); replay fails on
+/// `OPEN` and ignores `CLOSE`/`FINALIZE`.
+pub(crate) fn apply_frame(
+    engine: &RoundCollector,
+    durable: Option<&DurableLog>,
+    session: &mut Session,
+    kind: u8,
+    payload: &[u8],
+) -> Result<(), CollectorError> {
+    let metrics = engine.metrics();
+    let mut journal = durable.map(DurableLog::lock);
+    let (record, applied) = match kind {
+        frames::REPORT_BATCH => (Some(journal::REC_BATCH), Applied::Batch),
+        frames::OPEN => {
+            let (tenant, id, channel, quota) = decode_open(payload)?;
+            engine.open_round_as(tenant, id, channel, quota)?;
+            (Some(journal::REC_OPEN), Applied::Opened)
+        }
+        frames::CLOSE => {
+            let counters = engine.close_round(decode_round_id(payload)?)?;
+            (Some(journal::REC_CLOSE), Applied::Closed(counters))
+        }
+        frames::FINALIZE => {
+            let outcome = engine.finalize(decode_round_id(payload)?)?;
+            (Some(journal::REC_FINALIZE), Applied::Finalized(outcome))
+        }
+        frames::CHECKPOINT => {
+            let id = decode_round_id(payload)?;
+            let journal = journal.as_mut().ok_or(CollectorError::BadCheckpoint {
+                detail: "CHECKPOINT needs a daemon started with a data dir",
+            })?;
+            journal.checkpoint_round(engine, id, metrics)?;
+            (None, Applied::Checkpointed)
+        }
+        kind => return Err(CollectorError::UnexpectedFrame { kind }),
+    };
+    if let (Some(journal), Some(record)) = (journal.as_mut(), record) {
+        journal.append(record, payload, metrics)?;
+        if record == journal::REC_FINALIZE {
+            // A finalize must survive the crash window between the fold
+            // and the reply leaving the socket, whatever the append-path
+            // policy — replaying a consumed round as still-open would
+            // resurrect it.
+            journal.sync(metrics)?;
+        }
+    }
+    let mut reply = Vec::new();
+    let reply_kind = match applied {
+        Applied::Batch => {
+            fold_batch(session, engine, payload);
+            return Ok(()); // unacknowledged
+        }
+        Applied::Opened | Applied::Checkpointed => frames::ACK,
+        Applied::Closed(counters) => {
+            put_varint(counters.accepted, &mut reply);
+            put_varint(counters.rejected_duplicate, &mut reply);
+            put_varint(counters.rejected_quota, &mut reply);
+            put_varint(counters.rejected_invalid, &mut reply);
+            put_varint(counters.rejected_malformed, &mut reply);
+            reply.push(u8::from(counters.finalized_at_close));
+            frames::SUMMARY
+        }
+        Applied::Finalized(RoundOutcome::Adjacency(view)) => {
+            wire::encode_view(&view, &mut reply);
+            frames::VIEW
+        }
+        Applied::Finalized(RoundOutcome::DegreeVector {
+            group_totals,
+            accepted,
+        }) => {
+            put_varint(accepted, &mut reply);
+            put_varint(group_totals.len() as u64, &mut reply);
+            for &t in &group_totals {
+                put_f64(t, &mut reply);
+            }
+            frames::DEGREE_SUMMARY
+        }
+    };
+    write_frame(&mut session.out, reply_kind, &reply)?;
+    Ok(())
+}
+
+/// Decodes and folds one `REPORT_BATCH` payload against its round's slot,
+/// looked up once per frame. Engine refusals that prove the *frame* was
+/// misdirected (unknown/closed round) get a warn-once typed ERR;
+/// per-report outcomes (duplicate, quota, invalid) are counted by the
+/// engine and read from the close summary.
+fn fold_batch(session: &mut Session, engine: &RoundCollector, payload: &[u8]) {
     let metrics = engine.metrics();
     let batch_begin = metrics.active().then(Instant::now);
     match wire::read_routed_batch(payload) {
-        // One registry lookup per batch frame, not per report:
-        // the hot path folds straight against the round's slot.
-        // An unknown round id refuses the whole frame (warn-once
-        // typed ERR; counting against nothing is a no-op, same
-        // as the per-report path).
+        // An unknown round id refuses the whole frame (warn-once typed
+        // ERR; nothing to count against).
         Ok((round_id, mut batch)) => match engine.slot(round_id) {
             Ok(slot) => {
                 // Fold successes accumulate in plain memory and
@@ -826,19 +971,21 @@ fn fold_batch(conn: &mut Conn, engine: &RoundCollector, payload: &[u8]) {
                     match entry {
                         Ok((user_id, report)) => {
                             let sampled = metrics.active()
-                                && conn.folds_seen & ((1 << crate::metrics::FOLD_SAMPLE_SHIFT) - 1)
+                                && session.folds_seen
+                                    & ((1 << crate::metrics::FOLD_SAMPLE_SHIFT) - 1)
                                     == 0;
-                            conn.folds_seen = conn.folds_seen.wrapping_add(1);
-                            ingest_routed_batched(
-                                conn,
-                                engine,
+                            session.folds_seen = session.folds_seen.wrapping_add(1);
+                            if let Err(e) = engine.ingest_in_slot_batched(
                                 &slot,
                                 round_id,
                                 user_id,
                                 &report,
                                 sampled,
                                 &mut scratch,
-                            );
+                            ) {
+                                engine.note_invalid(round_id);
+                                session.warn_once(round_id, &e, metrics);
+                            }
                         }
                         // A malformed entry is isolated by its length
                         // prefix; the rest of the batch still folds.
@@ -850,16 +997,12 @@ fn fold_batch(conn: &mut Conn, engine: &RoundCollector, payload: &[u8]) {
                     engine.note_invalid(round_id);
                 }
             }
-            Err(e) => {
-                if conn.should_warn(round_id) {
-                    let mut err = Vec::new();
-                    encode_error(&e, &mut err);
-                    let _ = write_frame(&mut conn.out, frames::ERR, &err);
-                    metrics.on_err(error_code(&e));
-                }
-            }
+            Err(e) => session.warn_once(round_id, &e, metrics),
         },
         Err(_) => {
+            // Charge the garbage to its round if the id at least parses;
+            // otherwise the frame is simply dropped (its length prefix
+            // isolated it from the stream).
             let mut head = payload;
             if let Ok(round_id) = get_varint(&mut head) {
                 engine.note_invalid(round_id);
@@ -874,282 +1017,10 @@ fn fold_batch(conn: &mut Conn, engine: &RoundCollector, payload: &[u8]) {
     }
 }
 
-/// Processes one complete frame, staging any reply into `conn.out`.
-fn process_frame(
-    conn: &mut Conn,
-    engine: &RoundCollector,
-    checkpoint_path: Option<&Path>,
-    durable: Option<&DurableLog>,
-    kind: u8,
-    payload: &[u8],
-) -> Frame {
-    let metrics = engine.metrics();
-    if metrics.active() {
-        metrics.frames_decoded.incr();
-        metrics.emit(TraceEvent::FrameDecoded {
-            kind,
-            len: payload.len() as u64,
-        });
-    }
-    if let Some(durable) = durable {
-        // State-changing frames detour through the write-ahead journal;
-        // read-only traffic (SYNC, STATS, SHUTDOWN) stays on this path.
-        if matches!(
-            kind,
-            frames::OPEN
-                | frames::REPORT
-                | frames::REPORT_BATCH
-                | frames::CLOSE
-                | frames::FINALIZE
-                | frames::CHECKPOINT
-        ) {
-            return process_frame_durable(conn, engine, durable, kind, payload);
-        }
-    }
-    let mut reply = Vec::new();
-    let result: Result<u8, CollectorError> = match kind {
-        frames::OPEN => decode_open(payload)
-            .and_then(|(tenant, id, channel, quota)| {
-                engine.open_round_as(tenant, id, channel, quota)
-            })
-            .map(|()| frames::ACK),
-        frames::REPORT => {
-            fold_report(conn, engine, payload);
-            return Frame::Continue; // unacknowledged
-        }
-        frames::REPORT_BATCH => {
-            fold_batch(conn, engine, payload);
-            return Frame::Continue; // unacknowledged
-        }
-        frames::SYNC => {
-            // Frames are processed in order, so reaching here proves
-            // every prior report of this session is folded.
-            wire::expect_end(payload)
-                .map(|()| frames::ACK)
-                .map_err(CollectorError::Wire)
-        }
-        frames::CLOSE => decode_round_id(payload)
-            .and_then(|id| engine.close_round(id))
-            .map(|counters| {
-                put_varint(counters.accepted, &mut reply);
-                put_varint(counters.rejected_duplicate, &mut reply);
-                put_varint(counters.rejected_quota, &mut reply);
-                put_varint(counters.rejected_invalid, &mut reply);
-                put_varint(counters.rejected_malformed, &mut reply);
-                reply.push(u8::from(counters.finalized_at_close));
-                frames::SUMMARY
-            }),
-        frames::STATS => wire::expect_end(payload)
-            .map_err(CollectorError::Wire)
-            .map(|()| {
-                wire::encode_stats_reply(&metrics.wire_entries(), &mut reply);
-                frames::STATS_REPLY
-            }),
-        frames::FINALIZE => decode_round_id(payload)
-            .and_then(|id| engine.finalize(id))
-            .map(|outcome| match outcome {
-                RoundOutcome::Adjacency(view) => {
-                    wire::encode_view(&view, &mut reply);
-                    frames::VIEW
-                }
-                RoundOutcome::DegreeVector {
-                    group_totals,
-                    accepted,
-                } => {
-                    put_varint(accepted, &mut reply);
-                    put_varint(group_totals.len() as u64, &mut reply);
-                    for &t in &group_totals {
-                        put_f64(t, &mut reply);
-                    }
-                    frames::DEGREE_SUMMARY
-                }
-            }),
-        frames::CHECKPOINT => decode_round_id(payload)
-            .and_then(|id| checkpoint_to_path(engine, id, checkpoint_path))
-            .map(|()| frames::ACK),
-        frames::SHUTDOWN => {
-            let _ = write_frame(&mut conn.out, frames::ACK, &[]);
-            return Frame::Shutdown;
-        }
-        kind => Err(CollectorError::UnexpectedFrame { kind }),
-    };
-    stage_reply(conn, metrics, result, reply)
-}
-
-/// Stages the outcome of a request/response frame: the typed reply on
-/// success, a typed `ERR` otherwise.
-fn stage_reply(
-    conn: &mut Conn,
-    metrics: &CollectorMetrics,
-    result: Result<u8, CollectorError>,
-    mut reply: Vec<u8>,
-) -> Frame {
-    match result {
-        Ok(reply_kind) => {
-            if write_frame(&mut conn.out, reply_kind, &reply).is_err() {
-                return Frame::Fatal;
-            }
-        }
-        Err(e) => {
-            reply.clear();
-            encode_error(&e, &mut reply);
-            let _ = write_frame(&mut conn.out, frames::ERR, &reply);
-            metrics.on_err(error_code(&e));
-        }
-    }
-    Frame::Continue
-}
-
-/// [`process_frame`] for state-changing frames of a durable daemon: the
-/// journal append happens **before** the engine mutation and before any
-/// `ACK`/`SUMMARY` is staged, under the journal guard, so a crash at any
-/// instant leaves the journal covering at least everything a client was
-/// told happened. Report payloads are journaled verbatim ahead of the
-/// decode — replay re-derives rejects, not just accepts. The
-/// `ack-before-durable` lint rule pins this ordering.
-fn process_frame_durable(
-    conn: &mut Conn,
-    engine: &RoundCollector,
-    durable: &DurableLog,
-    kind: u8,
-    payload: &[u8],
-) -> Frame {
-    let metrics = engine.metrics();
-    let mut journal = durable.lock();
-    let mut reply = Vec::new();
-    let result: Result<u8, CollectorError> = match kind {
-        frames::REPORT => {
-            if journal
-                .append(journal::REC_REPORT, payload, metrics)
-                .is_err()
-            {
-                // The record is not durable; folding it anyway would let
-                // a crash silently lose an ingested report. Dropping the
-                // connection is the honest failure.
-                return Frame::Fatal;
-            }
-            fold_report(conn, engine, payload);
-            return Frame::Continue; // unacknowledged
-        }
-        frames::REPORT_BATCH => {
-            if journal
-                .append(journal::REC_BATCH, payload, metrics)
-                .is_err()
-            {
-                return Frame::Fatal;
-            }
-            fold_batch(conn, engine, payload);
-            return Frame::Continue; // unacknowledged
-        }
-        frames::OPEN => decode_open(payload)
-            .and_then(|(tenant, id, channel, quota)| {
-                engine.open_round_as(tenant, id, channel, quota)
-            })
-            .and_then(|()| journal.append(journal::REC_OPEN, payload, metrics))
-            .map(|()| frames::ACK),
-        frames::CLOSE => decode_round_id(payload)
-            .and_then(|id| engine.close_round(id))
-            .and_then(|counters| {
-                journal.append(journal::REC_CLOSE, payload, metrics)?;
-                Ok(counters)
-            })
-            .map(|counters| {
-                put_varint(counters.accepted, &mut reply);
-                put_varint(counters.rejected_duplicate, &mut reply);
-                put_varint(counters.rejected_quota, &mut reply);
-                put_varint(counters.rejected_invalid, &mut reply);
-                put_varint(counters.rejected_malformed, &mut reply);
-                reply.push(u8::from(counters.finalized_at_close));
-                frames::SUMMARY
-            }),
-        frames::FINALIZE => decode_round_id(payload)
-            .and_then(|id| engine.finalize(id))
-            .and_then(|outcome| {
-                journal.append(journal::REC_FINALIZE, payload, metrics)?;
-                // A finalize must survive the crash window between the
-                // fold and the reply leaving the socket, whatever the
-                // append-path policy — replaying a consumed round as
-                // still-open would resurrect it.
-                journal.sync(metrics)?;
-                Ok(outcome)
-            })
-            .map(|outcome| match outcome {
-                RoundOutcome::Adjacency(view) => {
-                    wire::encode_view(&view, &mut reply);
-                    frames::VIEW
-                }
-                RoundOutcome::DegreeVector {
-                    group_totals,
-                    accepted,
-                } => {
-                    put_varint(accepted, &mut reply);
-                    put_varint(group_totals.len() as u64, &mut reply);
-                    for &t in &group_totals {
-                        put_f64(t, &mut reply);
-                    }
-                    frames::DEGREE_SUMMARY
-                }
-            }),
-        frames::CHECKPOINT => decode_round_id(payload)
-            .and_then(|id| journal.checkpoint_round(engine, id, metrics))
-            .map(|()| frames::ACK),
-        kind => Err(CollectorError::UnexpectedFrame { kind }),
-    };
-    stage_reply(conn, metrics, result, reply)
-}
-
-/// Routes one report into its round. Engine refusals that prove the
-/// *frame* was misdirected (unknown/closed round) get a warn-once typed
-/// ERR; per-report outcomes (duplicate, quota, invalid) are counted by
-/// the engine and read from the close summary, as ever.
-fn ingest_routed(
-    conn: &mut Conn,
-    engine: &RoundCollector,
-    round_id: u64,
-    user_id: u64,
-    report: &ldp_protocols::UserReport,
-) {
-    if let Err(e) = engine.ingest_ref(round_id, user_id, report) {
-        engine.note_invalid(round_id);
-        if conn.should_warn(round_id) {
-            let mut reply = Vec::new();
-            encode_error(&e, &mut reply);
-            let _ = write_frame(&mut conn.out, frames::ERR, &reply);
-            engine.metrics().on_err(error_code(&e));
-        }
-    }
-}
-
-/// [`ingest_routed`] with the round's slot already resolved and fold
-/// accounting batch-amortized (the `REPORT_BATCH` fast path).
-#[allow(clippy::too_many_arguments)]
-fn ingest_routed_batched(
-    conn: &mut Conn,
-    engine: &RoundCollector,
-    slot: &crate::round::RoundSlot,
-    round_id: u64,
-    user_id: u64,
-    report: &ldp_protocols::UserReport,
-    sampled: bool,
-    scratch: &mut crate::metrics::FoldScratch,
-) {
-    if let Err(e) = engine.ingest_in_slot_batched(slot, round_id, user_id, report, sampled, scratch)
-    {
-        engine.note_invalid(round_id);
-        if conn.should_warn(round_id) {
-            let mut reply = Vec::new();
-            encode_error(&e, &mut reply);
-            let _ = write_frame(&mut conn.out, frames::ERR, &reply);
-            engine.metrics().on_err(error_code(&e));
-        }
-    }
-}
-
 /// One pool worker: pop a connection, pump it, requeue or retire it.
 fn worker(
     shared: &Shared,
     engine: &RoundCollector,
-    checkpoint_path: Option<&Path>,
     durable: Option<&DurableLog>,
     stall: Duration,
     workers: usize,
@@ -1168,7 +1039,7 @@ fn worker(
             retire(shared, metrics);
             continue;
         }
-        match conn.pump(engine, checkpoint_path, durable, &mut payload_scratch) {
+        match conn.pump(engine, durable, &mut payload_scratch) {
             Pump::Idle => {
                 if conn.mid_frame() && conn.last_progress.elapsed() > stall {
                     // Wedged mid-frame past the timeout: drop it. The
@@ -1227,23 +1098,6 @@ fn retire(shared: &Shared, metrics: &CollectorMetrics) -> usize {
         metrics.sessions_active.sub(1);
     }
     remaining
-}
-
-fn checkpoint_to_path(
-    engine: &RoundCollector,
-    round_id: u64,
-    path: Option<&Path>,
-) -> Result<(), CollectorError> {
-    let path = path.ok_or(CollectorError::BadCheckpoint {
-        detail: "daemon has no checkpoint path configured",
-    })?;
-    // Snapshot into memory, then persist atomically (tmp + fsync +
-    // rename + parent fsync): a crash mid-write leaves the previous
-    // snapshot intact instead of a torn file at the configured path.
-    let mut snapshot = Vec::new();
-    engine.checkpoint(round_id, &mut snapshot)?;
-    crate::wal::atomic_write_file(path, &snapshot)?;
-    Ok(())
 }
 
 pub(crate) fn decode_open(

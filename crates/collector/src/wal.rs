@@ -1,15 +1,15 @@
 //! Crash durability: the write-ahead report journal and its recovery.
 //!
 //! A daemon given a data directory ([`crate::CollectorServer::with_data_dir`])
-//! journals every state-changing frame **before** acting on it: report
-//! frames are appended verbatim ahead of the fold, lifecycle frames
-//! (`OPEN`, `CLOSE`, `FINALIZE`) ahead of their `ACK`/`SUMMARY`. After a
-//! crash — power loss, SIGKILL, a torn write mid-record — recovery
-//! rebuilds every open round bit-identically by reloading the last
-//! checkpoint snapshot per round and replaying the journal tail on top,
-//! running the records through the *same* engine entry points the live
-//! path uses, so rejects (duplicates, quota, malformed entries) replay
-//! with the exact counter moves of the original run.
+//! journals every state-changing frame before anyone is told about it:
+//! report batches are appended verbatim ahead of the fold, lifecycle
+//! frames (`OPEN`, `CLOSE`, `FINALIZE`) ahead of their `ACK`/`SUMMARY`.
+//! After a crash — power loss, SIGKILL, a torn write mid-record —
+//! recovery rebuilds every open round bit-identically by reloading the
+//! last checkpoint snapshot per round and replaying the journal tail on
+//! top, running the records through the *same* frame-apply function the
+//! live daemon uses, so rejects (duplicates, quota, malformed entries)
+//! replay with the exact counter moves of the original run.
 //!
 //! ## Journal format
 //!
@@ -64,9 +64,9 @@
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::RoundCollector;
-use crate::server::decode_open;
+use crate::server::{apply_frame, Session};
 use ldp_obs::TraceEvent;
-use ldp_protocols::wire::{self, get_varint, journal, put_varint, WireError};
+use ldp_protocols::wire::{self, frames, get_varint, journal, put_varint, WireError};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
@@ -174,7 +174,8 @@ impl DurableLog {
         // Crash-harness hook, armed *before* startup compaction so a
         // kill schedule can land inside recovery itself (the daemon
         // binary documents `LDP_WAL_KILL_AFTER_BYTES`; see
-        // `tests/crash.rs`). Unset outside the harness.
+        // `tests/crash.rs`). The only place it is armed; unset outside
+        // the harness.
         if let Some(bytes) = std::env::var("LDP_WAL_KILL_AFTER_BYTES")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -226,6 +227,7 @@ pub struct Journal {
     /// Fault hook: abort the process mid-write once this many total
     /// bytes have been appended, leaving a torn record on disk — how the
     /// crash harness pins torn-tail recovery (see `tests/crash.rs`).
+    /// Armed only by `LDP_WAL_KILL_AFTER_BYTES` in [`DurableLog::open`].
     kill_after: Option<u64>,
     total_bytes: u64,
     frame_buf: Vec<u8>,
@@ -248,13 +250,6 @@ impl Journal {
             total_bytes: 0,
             frame_buf: Vec::new(),
         })
-    }
-
-    /// Arms the torn-write fault hook (see [`Journal::kill_after`] —
-    /// test harness only).
-    #[doc(hidden)]
-    pub fn set_kill_after_bytes(&mut self, bytes: u64) {
-        self.kill_after = Some(bytes);
     }
 
     /// Appends one record (frame-coded) and applies the fsync policy.
@@ -542,7 +537,6 @@ fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
                     if !matches!(
                         kind,
                         journal::REC_OPEN
-                            | journal::REC_REPORT
                             | journal::REC_BATCH
                             | journal::REC_CLOSE
                             | journal::REC_FINALIZE
@@ -581,7 +575,7 @@ fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
 
 /// Replays `records` into `engine`: per round, the last `REC_CHECKPOINT`
 /// marker's snapshot is loaded and every earlier record skipped; records
-/// after it re-run through the live entry points. A round finalized after
+/// after it re-run through [`apply_frame`]. A round finalized after
 /// its last marker loads no snapshot (finalize deleted it) and skips
 /// everything up to that `REC_FINALIZE`; later records — a reopened round
 /// with the same id included — replay as usual. Returns per-round
@@ -635,9 +629,10 @@ fn apply_records(
         epochs.insert(round, epoch);
     }
     // Pass 2: apply everything after each round's marker, in order,
-    // through the same entry points the live path used — identical
+    // through the live daemon's own frame-apply function — identical
     // accept/reject decisions, identical counter moves.
     let mut applied: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut session = Session::default();
     for (i, rec) in records.iter().enumerate() {
         let Ok(round) = get_varint(&mut rec.payload.as_slice()) else {
             // The live path could not even attribute this payload to a
@@ -649,56 +644,27 @@ fn apply_records(
                 continue;
             }
         }
-        match rec.kind {
-            journal::REC_OPEN => {
-                let (tenant, id, channel, quota) = decode_open(&rec.payload)?;
-                engine.open_round_as(tenant, id, channel, quota)?;
-            }
-            journal::REC_REPORT => match wire::decode_routed_report(&rec.payload) {
-                Ok((round_id, user_id, report)) => {
-                    if engine.ingest_ref(round_id, user_id, &report).is_err() {
-                        engine.note_invalid(round_id);
-                    }
-                }
-                Err(_) => engine.note_invalid(round),
-            },
-            journal::REC_BATCH => match wire::read_routed_batch(&rec.payload) {
-                Ok((round_id, mut batch)) => {
-                    if engine.slot(round_id).is_ok() {
-                        while let Some(entry) = batch.next_entry() {
-                            match entry {
-                                Ok((user_id, report)) => {
-                                    if engine.ingest_ref(round_id, user_id, &report).is_err() {
-                                        engine.note_invalid(round_id);
-                                    }
-                                }
-                                Err(_) => engine.note_invalid(round_id),
-                            }
-                        }
-                        if batch.finish().is_err() {
-                            engine.note_invalid(round_id);
-                        }
-                    }
-                }
-                Err(_) => engine.note_invalid(round),
-            },
-            journal::REC_CLOSE => {
-                // Journaled only after a successful close; a replay
-                // refusal means the state already reflects it.
-                let _ = engine.close_round(round);
-            }
-            journal::REC_FINALIZE => {
-                let _ = engine.finalize(round);
-            }
-            journal::REC_CHECKPOINT => {
-                // Superseded markers (an older epoch) carry no state.
-                continue;
-            }
+        let kind = match rec.kind {
+            journal::REC_OPEN => frames::OPEN,
+            journal::REC_BATCH => frames::REPORT_BATCH,
+            journal::REC_CLOSE => frames::CLOSE,
+            journal::REC_FINALIZE => frames::FINALIZE,
+            // Superseded markers (an older epoch) carry no state.
+            journal::REC_CHECKPOINT => continue,
             _ => {
                 return Err(CollectorError::BadJournal {
                     detail: "unknown record kind",
                 })
             }
+        };
+        let result = apply_frame(engine, None, &mut session, kind, &rec.payload);
+        session.out.clear();
+        // An OPEN the live daemon acknowledged must replay; CLOSE and
+        // FINALIZE were journaled only after they succeeded, so a replay
+        // refusal means the state already reflects them. A batch without
+        // a journal never fails.
+        if kind == frames::OPEN {
+            result?;
         }
         *applied.entry(round).or_insert(0) += 1;
     }
@@ -709,6 +675,7 @@ fn apply_records(
 mod tests {
     use super::*;
     use crate::round::{CollectorConfig, RoundOutcome};
+    use crate::server::decode_open;
     use ldp_protocols::UserReport;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -923,6 +890,28 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn a_retired_singleton_report_record_is_a_typed_refusal() {
+        // Kind 0x02 held singleton `REPORT` payloads before wire v3; a
+        // journal still carrying one is refused, not half-replayed.
+        let dir = scratch_dir("retired-report");
+        let mut segment = journal::SEGMENT_MAGIC.to_vec();
+        segment.push(journal::SEGMENT_VERSION);
+        let mut payload = Vec::new();
+        put_varint(1, &mut payload);
+        wire::encode_report(0, &UserReport::DegreeVector(vec![1.0]), &mut payload);
+        wire::write_frame(&mut segment, 0x02, &payload).expect("frame");
+        std::fs::write(dir.join("wal-0000000000000001.ldpw"), &segment).expect("segment");
+        let eng = engine();
+        assert!(matches!(
+            DurableLog::open(&dir, FsyncPolicy::Off, &eng),
+            Err(CollectorError::BadJournal {
+                detail: "unknown record kind"
+            })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

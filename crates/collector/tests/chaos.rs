@@ -63,19 +63,13 @@ impl ChaosClient {
         Ok(ChaosClient { stream })
     }
 
-    /// One complete, well-formed routed `REPORT` frame as raw bytes.
+    /// One complete, well-formed routed single-report frame (a
+    /// `REPORT_BATCH` of one) as raw bytes.
     fn report_frame(round_id: u64, user_id: u64, vector: &[f64]) -> Vec<u8> {
-        let mut payload = Vec::new();
-        wire::encode_routed_report(
+        Self::batch_frame(
             round_id,
-            user_id,
-            &UserReport::DegreeVector(vector.to_vec()),
-            &mut payload,
-        );
-        let mut frame = Vec::new();
-        wire::write_frame(&mut frame, ldp_collector::server::frames::REPORT, &payload)
-            .expect("frame encodes");
-        frame
+            &[(user_id, UserReport::DegreeVector(vector.to_vec()))],
+        )
     }
 
     /// One complete, well-formed routed `REPORT_BATCH` frame.
@@ -355,7 +349,8 @@ fn random_drop_storm_leaves_honest_rounds_bit_identical() {
             let mut client = CollectorClient::connect(addr).expect("honest connect");
             client.set_round(2).expect("set round");
             for id in 0..dv_population {
-                client.send_degree_vector(id, &[id as f64]).unwrap();
+                client.queue_degree_vector(id, &[id as f64]).unwrap();
+                client.send_batch().unwrap();
             }
             client.sync().expect("honest sync");
         });
@@ -538,7 +533,8 @@ fn stats_reconcile_exactly_with_summaries_under_chaos() {
 
     // One late report at the closed round: typed warn-once ERR, counted
     // by code in the registry and as malformed in the re-close summary.
-    coordinator.send_degree_vector(0, &[9.0, 9.0]).unwrap();
+    coordinator.queue_degree_vector(0, &[9.0, 9.0]).unwrap();
+    coordinator.send_batch().unwrap();
     let err = coordinator.sync().unwrap_err();
     assert!(matches!(
         err,

@@ -6,12 +6,11 @@
 //! rows.
 
 use ldp_collector::{
-    CollectorClient, CollectorConfig, CollectorError, CollectorServer, IngestOutcome, RoundChannel,
-    RoundCollector, RoundOutcome,
+    CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RoundChannel,
 };
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
-use ldp_protocols::{AdjacencyReport, LfGdpr, UserReport};
+use ldp_protocols::{AdjacencyReport, LfGdpr};
 use std::net::SocketAddr;
 
 fn spawn_daemon(
@@ -248,9 +247,9 @@ fn jumbo_degree_vectors_flush_batches_by_bytes() {
 }
 
 /// Checkpoint quiescence: a CHECKPOINT frame races two streaming
-/// sessions; the snapshot lands on a frame boundary, and a collector
-/// resumed from it — with the full stream replayed over it — finalizes
-/// bit-identical to the uninterrupted run.
+/// sessions on a data-dir daemon; the snapshot lands on a frame boundary,
+/// so a daemon restarted on the same directory — snapshot plus journal
+/// tail — finishes the round bit-identical to the in-process aggregation.
 #[test]
 fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     let n = 160;
@@ -258,18 +257,14 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     let reference = proto.aggregate(&reports);
 
     let dir = std::env::temp_dir().join(format!("ldpk-concurrent-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("round.ldpk");
-
-    let (addr, handle) = CollectorServer::spawn_with(
-        CollectorConfig {
-            shards: 4,
-            max_sessions: 8,
-            ..CollectorConfig::default()
-        },
-        Some(path.clone()),
-    )
-    .expect("bind loopback daemon");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = CollectorConfig {
+        shards: 4,
+        max_sessions: 8,
+        ..CollectorConfig::default()
+    };
+    let (addr, handle) = CollectorServer::spawn_durable(config.clone(), &dir, FsyncPolicy::Off)
+        .expect("bind loopback daemon");
 
     let mut coordinator = CollectorClient::connect(addr).unwrap();
     coordinator
@@ -279,7 +274,7 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
                 population: n,
                 p_keep: proto.p_keep(),
             },
-            // Replay headroom: the full set is re-sent after the snapshot.
+            // Replay headroom: the full set is re-sent after the restart.
             Some(4 * n as u64),
         )
         .unwrap();
@@ -306,38 +301,28 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
         });
     });
 
-    // The live round still completes (reports were unacknowledged and
-    // kept flowing after the snapshot).
-    let summary = coordinator.close_round(3).unwrap();
-    assert_eq!(summary.counters.accepted, n as u64);
-    let live_view = coordinator.finalize_adjacency(3).unwrap();
-    assert_views_identical(&live_view, &reference);
+    // Stop the daemon with the round still open, and restart it on the
+    // same directory.
     drop(coordinator);
     shutdown(addr, handle);
+    let (addr, handle) =
+        CollectorServer::spawn_durable(config, &dir, FsyncPolicy::Off).expect("restart daemon");
 
-    // Resume the snapshot in process and replay the *full* stream over
-    // it: already-folded ids are rejected as duplicates, missing ids
-    // fold now, and the finalize is bit-identical.
-    let file = std::fs::File::open(&path).unwrap();
-    let resumed = RoundCollector::resume(
-        CollectorConfig::default(),
-        &mut std::io::BufReader::new(file),
-    )
-    .expect("resume snapshot");
+    // Replay the *full* stream over the recovered round: every id was
+    // folded before the stop, so each is rejected as a duplicate, and
+    // the finalize is bit-identical.
+    let mut client = CollectorClient::connect(addr).unwrap();
+    client.set_round(3).unwrap();
     for (id, report) in reports.iter().enumerate() {
-        let outcome = resumed
-            .ingest(3, id as u64, UserReport::Adjacency(report.clone()))
-            .unwrap();
-        assert!(
-            matches!(outcome, IngestOutcome::Queued | IngestOutcome::Duplicate),
-            "unexpected outcome {outcome:?} for id {id}"
-        );
+        client.queue_adjacency_report(id as u64, report).unwrap();
     }
-    resumed.close_round(3).unwrap();
-    let RoundOutcome::Adjacency(resumed_view) = resumed.finalize(3).unwrap() else {
-        panic!("adjacency round expected");
-    };
-    assert_views_identical(&resumed_view, &reference);
+    let summary = client.close_round(3).unwrap();
+    assert_eq!(summary.counters.accepted, n as u64);
+    assert_eq!(summary.counters.rejected_duplicate, n as u64);
+    let view = client.finalize_adjacency(3).unwrap();
+    assert_views_identical(&view, &reference);
+    drop(client);
+    shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

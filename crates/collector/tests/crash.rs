@@ -17,10 +17,14 @@
 //! * the daemon's scrape surface shows the recovery
 //!   (`recovered_rounds`, `wal_replayed_frames`).
 //!
+//! Beside the randomized schedules, one fixed schedule kills the daemon
+//! after a checkpoint → close → finalize → reopen sequence on one round
+//! id, pinning that a finalized round stays gone across the restart.
+//!
 //! Schedule directories are removed on success and kept on failure — CI
 //! uploads `target/crash-test/` as the post-mortem artifact.
 
-use ldp_collector::{RetryPolicy, RetryingClient, RoundChannel};
+use ldp_collector::{CollectorClient, RetryPolicy, RetryingClient, RoundChannel};
 use ldp_protocols::wire::StatsValue;
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -324,5 +328,80 @@ fn a_crash_during_recovery_is_recoverable() {
     assert_eq!(finalized.accepted, 16);
     client.shutdown().expect("shutdown");
     daemon.wait().expect("reap");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint-then-finalize schedule: checkpoint mid-round, close,
+/// finalize, reopen the same round id and fill half of it, SIGKILL,
+/// restart. The finalized round must stay gone — the recovered round is
+/// exactly the reopened half — and the reopened round, finished after the
+/// restart, finalizes bit-identically to the fault-free reference.
+#[test]
+fn checkpoint_then_finalize_schedule_keeps_the_finalized_round_gone() {
+    let reference = run_schedule("checkpoint-finalize-reference", &BTreeMap::new());
+    let dir = crash_root().join("checkpoint-finalize");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create schedule dir");
+    let port = free_port();
+    let addr = format!("127.0.0.1:{port}");
+    let channel = RoundChannel::DegreeVector {
+        population: POPULATION,
+        groups: GROUPS,
+    };
+    // Resent duplicates charge quota; provision headroom.
+    let quota = Some(4 * POPULATION as u64);
+    let half = POPULATION as u64 / 2;
+    let queue = |client: &mut CollectorClient, users: std::ops::Range<u64>| {
+        for user in users {
+            client
+                .queue_degree_vector(user, &vector(user))
+                .expect("queue");
+        }
+    };
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("connect");
+    client.open_round(ROUND, channel, quota).expect("open");
+    queue(&mut client, 0..half);
+    client.checkpoint(ROUND).expect("checkpoint mid-round");
+    queue(&mut client, half..POPULATION as u64);
+    let summary = client.close_round(ROUND).expect("close");
+    assert_eq!(summary.counters.accepted, POPULATION as u64);
+    let first = client.finalize_degree_vector(ROUND).expect("finalize");
+    assert_eq!((first.group_totals, first.accepted), reference);
+    // The same id again, half-filled and barrier-acknowledged, then
+    // killed without a close.
+    client
+        .open_round(ROUND, channel, quota)
+        .expect("reopen the finalized id");
+    queue(&mut client, 0..half);
+    client.sync().expect("barrier");
+    drop(client);
+    daemon.kill().expect("SIGKILL");
+    daemon.wait().expect("reap");
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("reconnect");
+    let stats = client.stats().expect("scrape the restarted daemon");
+    assert_eq!(counter(&stats, "recovered_rounds"), Some(1));
+    // Resend the whole population: the reopened half is all duplicates
+    // and the rest folds fresh. A resurrected finalized round would
+    // have made every resend a duplicate (or refused the replayed OPEN).
+    client.set_round(ROUND).expect("set round");
+    queue(&mut client, 0..POPULATION as u64);
+    let summary = client.close_round(ROUND).expect("close the reopened round");
+    assert_eq!(summary.counters.accepted, POPULATION as u64);
+    assert_eq!(summary.counters.rejected_duplicate, half);
+    assert_eq!(summary.counters.rejected_quota, 0);
+    assert_eq!(summary.counters.rejected_invalid, 0);
+    assert_eq!(summary.counters.rejected_malformed, 0);
+    let finalized = client.finalize_degree_vector(ROUND).expect("finalize");
+    assert_eq!(
+        (finalized.group_totals, finalized.accepted),
+        reference,
+        "the reopened round must finalize bit-identically"
+    );
+    client.shutdown().expect("shutdown");
+    daemon.wait().expect("reap the final daemon");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -98,7 +98,7 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
         .unwrap();
     for id in 0..2u64 {
         client
-            .send_report(
+            .queue_report(
                 id,
                 &UserReport::Adjacency(ldp_protocols::AdjacencyReport::new(
                     ldp_graph::BitSet::new(3),
@@ -107,6 +107,7 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
             )
             .unwrap();
     }
+    client.send_batch().unwrap();
     let err = client.finalize_adjacency(2).unwrap_err();
     assert!(matches!(
         err,
@@ -116,7 +117,7 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
         }
     ));
     client
-        .send_report(
+        .queue_report(
             2,
             &UserReport::Adjacency(ldp_protocols::AdjacencyReport::new(
                 ldp_graph::BitSet::new(3),
@@ -124,6 +125,7 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
             )),
         )
         .unwrap();
+    client.send_batch().unwrap();
     let summary = client.close_round(2).unwrap();
     assert_eq!(summary.counters.accepted, 3);
     assert!(client.finalize_adjacency(2).is_ok());
@@ -149,11 +151,12 @@ fn degree_vector_round_over_tcp() {
         .unwrap();
     for id in 0..n {
         client
-            .send_report(
+            .queue_report(
                 id,
                 &UserReport::DegreeVector(vec![1.0, 0.5, 0.0, id as f64]),
             )
             .unwrap();
+        client.send_batch().unwrap();
     }
     let summary = client.close_round(1).unwrap();
     assert_eq!(summary.counters.accepted, n);
@@ -161,6 +164,43 @@ fn degree_vector_round_over_tcp() {
     assert_eq!(out.accepted, n);
     assert_eq!(out.group_totals[0], n as f64);
     assert_eq!(out.group_totals[3], (0..n).sum::<u64>() as f64);
+    drop(client);
+    shutdown(addr, handle);
+}
+
+/// `CHECKPOINT` needs a data dir: a daemon started without one refuses
+/// it with a typed `CHECKPOINT_FAILED`, and the session and the round
+/// carry on untouched.
+#[test]
+fn checkpoint_without_a_data_dir_is_a_typed_refusal() {
+    let (addr, handle) = spawn_daemon();
+    let mut client = CollectorClient::connect(addr).unwrap();
+    client
+        .open_round(
+            1,
+            RoundChannel::DegreeVector {
+                population: 2,
+                groups: 1,
+            },
+            None,
+        )
+        .unwrap();
+    client
+        .queue_report(0, &UserReport::DegreeVector(vec![4.0]))
+        .unwrap();
+    let err = client.checkpoint(1).unwrap_err();
+    let CollectorError::Remote { code, message } = err else {
+        panic!("expected a remote refusal, got {err}");
+    };
+    assert_eq!(code, ldp_collector::server::codes::CHECKPOINT_FAILED);
+    assert!(message.contains("data dir"), "message: {message}");
+    client
+        .queue_report(1, &UserReport::DegreeVector(vec![5.0]))
+        .unwrap();
+    let summary = client.close_round(1).unwrap();
+    assert_eq!(summary.counters.accepted, 2);
+    let out = client.finalize_degree_vector(1).unwrap();
+    assert_eq!(out.group_totals, vec![9.0]);
     drop(client);
     shutdown(addr, handle);
 }

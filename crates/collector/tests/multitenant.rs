@@ -164,8 +164,9 @@ fn misdirected_reports_yield_typed_errors_once() {
     // next control call surfaces as a typed Remote error.
     client.set_round(99).unwrap();
     client
-        .send_degree_vector(0, &[1.0, 2.0])
-        .expect("send is unacknowledged");
+        .queue_degree_vector(0, &[1.0, 2.0])
+        .expect("queue is local");
+    client.send_batch().expect("send is unacknowledged");
     let err = client.sync().unwrap_err();
     assert!(
         matches!(
@@ -181,7 +182,8 @@ fn misdirected_reports_yield_typed_errors_once() {
     // Warn-once: a second volley at the same bogus round draws no second
     // ERR, so the next barrier acks cleanly (the errored sync above
     // already realigned the reply stream by consuming through its ACK).
-    client.send_degree_vector(1, &[1.0, 2.0]).unwrap();
+    client.queue_degree_vector(1, &[1.0, 2.0]).unwrap();
+    client.send_batch().unwrap();
     client.sync().expect("no second warning for round 99");
 
     // Closed round: late reports are typed ROUND_CLOSED and counted into
@@ -196,11 +198,13 @@ fn misdirected_reports_yield_typed_errors_once() {
             None,
         )
         .unwrap();
-    client.send_degree_vector(0, &[1.0, 0.0]).unwrap();
-    client.send_degree_vector(1, &[0.0, 1.0]).unwrap();
+    client.queue_degree_vector(0, &[1.0, 0.0]).unwrap();
+    client.queue_degree_vector(1, &[0.0, 1.0]).unwrap();
+    client.send_batch().unwrap();
     let summary = client.close_round(7).unwrap();
     assert_eq!(summary.counters.accepted, 2);
-    client.send_degree_vector(0, &[5.0, 5.0]).unwrap();
+    client.queue_degree_vector(0, &[5.0, 5.0]).unwrap();
+    client.send_batch().unwrap();
     let err = client.sync().unwrap_err();
     assert!(
         matches!(
@@ -263,7 +267,8 @@ fn tenant_round_quota_refuses_typed_and_frees_on_finalize() {
 
     // Completing one of tenant 5's rounds frees its slot.
     a.set_round(1).unwrap();
-    a.send_degree_vector(0, &[3.0]).unwrap();
+    a.queue_degree_vector(0, &[3.0]).unwrap();
+    a.send_batch().unwrap();
     a.close_round(1).unwrap();
     a.finalize_degree_vector(1).unwrap();
     a.open_round(3, channel, None)
@@ -307,9 +312,10 @@ fn memory_budget_refuses_typed_and_refunds_on_finalize() {
     client.set_round(1).unwrap();
     for id in 0..8u64 {
         client
-            .send_adjacency_report(id, &AdjacencyReport::new(ldp_graph::BitSet::new(8), 0.0))
+            .queue_adjacency_report(id, &AdjacencyReport::new(ldp_graph::BitSet::new(8), 0.0))
             .unwrap();
     }
+    client.send_batch().unwrap();
     client.close_round(1).unwrap();
     client.finalize_adjacency(1).unwrap();
     client
@@ -416,7 +422,8 @@ fn hostile_open_spam_degrades_gracefully() {
                     // Misdirect a report at a round nobody opened; the
                     // daemon counts it nowhere and answers once.
                     let _ = client.set_round(2000 + attacker);
-                    let _ = client.send_degree_vector(0, &[1.0]);
+                    let _ = client.queue_degree_vector(0, &[1.0]);
+                    let _ = client.send_batch();
                     let _ = client.flush();
                 }
             });

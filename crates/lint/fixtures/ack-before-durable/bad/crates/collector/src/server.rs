@@ -1,4 +1,4 @@
-//! Positive: the durable frame path stages its `ACK` (and the close
+//! Positive: the frame-apply function stages its `ACK` (and the close
 //! `SUMMARY`) before the journal append — a crash between the reply and
 //! the append acknowledges a report the journal never saw.
 
@@ -17,7 +17,7 @@ impl Journal {
     }
 }
 
-pub fn process_frame_durable(journal: &mut Journal, kind: u8, payload: &[u8]) -> u8 {
+pub fn apply_frame(journal: &mut Journal, kind: u8, payload: &[u8]) -> u8 {
     let reply = match kind {
         0x01 => frames::ACK,
         _ => frames::SUMMARY,

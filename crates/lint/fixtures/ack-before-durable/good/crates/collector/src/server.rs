@@ -1,6 +1,7 @@
 //! Negative: write-ahead order respected — the journal append comes
-//! first, and only then is the reply constant staged. The non-durable
-//! twin may stage replies freely (no journal exists to race).
+//! first, and only then is the reply constant staged. Other functions
+//! (read-only frames like `SYNC`) may stage replies freely: nothing
+//! they answer is journaled.
 
 pub mod frames {
     pub const ACK: u8 = 0x81;
@@ -17,7 +18,7 @@ impl Journal {
     }
 }
 
-pub fn process_frame_durable(journal: &mut Journal, kind: u8, payload: &[u8]) -> u8 {
+pub fn apply_frame(journal: &mut Journal, kind: u8, payload: &[u8]) -> u8 {
     journal.append(payload);
     match kind {
         0x01 => frames::ACK,

@@ -4,5 +4,5 @@ pub fn process_frame(kind: u8, counts: &mut [u64]) -> Result<u64, u8> {
 }
 
 fn route(kind: u8, counts: &mut [u64]) -> Result<u64, u8> {
-    crate::shard::fold_report(kind as usize, counts)
+    crate::shard::fold_entry(kind as usize, counts)
 }

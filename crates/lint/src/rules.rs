@@ -21,7 +21,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("opcode-arm", "every wire frame opcode must be referenced by collector non-test code"),
     ("opcode-proptest", "every wire frame opcode must be exercised by a proptest file"),
     ("alloc-cap", "every allocation in a decode/read path must follow a length cap or proof"),
-    ("ack-before-durable", "no ACK/SUMMARY reply staged before the journal append in durable frame paths"),
+    ("ack-before-durable", "no ACK/SUMMARY reply staged before the journal append in the frame-apply function"),
     ("allow-without-reason", "allow annotations must carry `-- reason`"),
     ("unused-allow", "allow annotations that suppress nothing are errors"),
     ("annotation-syntax", "malformed ldp-lint annotations and unbalanced hot-path regions"),
@@ -822,24 +822,29 @@ fn frame_consts(toks: &[Tok]) -> Vec<(String, u32)> {
 // Allocation caps in decode paths
 // ---------------------------------------------------------------------------
 
-/// Reply-staging frame constants: an occurrence of one of these in a
-/// durable path before any journal append is the write-ahead inversion.
+/// Reply-staging frame constants: an occurrence of one of these in the
+/// frame-apply function before any journal append is the write-ahead
+/// inversion.
 const REPLY_IDENTS: &[&str] = &["ACK", "SUMMARY", "DEGREE_SUMMARY", "VIEW"];
 
-/// The write-ahead ordering of DESIGN.md §11: in a durable frame path
-/// (any collector function whose name contains `durable`), the journal
-/// append must come before any reply constant is staged. A crash between
-/// an early `ACK` and a late append would acknowledge a report the
-/// journal never saw — exactly the loss the WAL exists to rule out.
+/// The collector function every state-changing frame goes through, live
+/// and in journal replay (`server.rs`).
+const APPLY_FN: &str = "apply_frame";
+
+/// The write-ahead ordering of DESIGN.md §11: in the frame-apply function
+/// ([`APPLY_FN`]), the journal append must come before any reply constant
+/// is staged. A crash between an early `ACK` and a late append would
+/// acknowledge a report the journal never saw — exactly the loss the WAL
+/// exists to rule out.
 ///
-/// Token-level heuristic: within such a function, flag any
+/// Token-level heuristic: within that function, flag any
 /// [`REPLY_IDENTS`] identifier seen before the first identifier
 /// containing `append`. Linear token order over-approximates control
 /// flow (a reply-first match arm after an append-bearing arm is
 /// missed; an append behind an `if` is trusted), but the real daemon
-/// funnels every state-changing frame through one function where the
-/// textual order *is* the execution order, and the annotation grammar
-/// can discharge deliberate exceptions.
+/// applies every frame in phases — engine, then the one append, then
+/// the reply — where the textual order *is* the execution order, and
+/// the annotation grammar can discharge deliberate exceptions.
 fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
     let toks = &f.toks;
     // (name, open depth, seen a journal append) — same fn-stack walk as
@@ -880,7 +885,7 @@ fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
         let Some(top) = stack.last_mut() else {
             continue;
         };
-        if !top.0.contains("durable") {
+        if top.0 != APPLY_FN {
             continue;
         }
         if t.text.contains("append") {
@@ -893,7 +898,7 @@ fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
                 rule: "ack-before-durable",
                 line: t.line,
                 message: format!(
-                    "reply `{}` staged in durable path `{}` before any journal append; \
+                    "reply `{}` staged in frame-apply path `{}` before any journal append; \
                      a crash here acknowledges a report the journal never saw",
                     t.text, top.0
                 ),

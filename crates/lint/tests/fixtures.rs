@@ -73,11 +73,11 @@ fn panic_path_is_pinned() {
     assert_eq!(findings.len(), 2, "{bad:#?}");
     for f in &findings {
         assert_eq!(f.rel, "crates/collector/src/shard.rs", "{f}");
-        // Cross-file, multi-hop witness: process_frame → route → fold_report.
+        // Cross-file, multi-hop witness: process_frame → route → fold_entry.
         assert!(f.call_path.len() >= 3, "want a multi-hop path: {f:#?}");
         assert_eq!(f.call_path[0].func, "process_frame");
         assert_eq!(f.call_path[0].rel, "crates/collector/src/server.rs");
-        assert_eq!(f.call_path.last().unwrap().func, "fold_report");
+        assert_eq!(f.call_path.last().unwrap().func, "fold_entry");
         // The last hop anchors on the offending site itself.
         assert_eq!(f.call_path.last().unwrap().line, f.line);
         assert!(f.message.contains("process_frame"), "{f}");
@@ -189,14 +189,14 @@ fn ack_before_durable_is_pinned() {
     assert_rule_pinned("ack-before-durable", "ack-before-durable");
     let bad = lint("ack-before-durable/bad");
     // Both the early `ACK` and the early `SUMMARY` fire, and the finding
-    // names the offending durable function.
+    // names the frame-apply function.
     let findings: Vec<_> = bad
         .iter()
         .filter(|f| f.rule == "ack-before-durable")
         .collect();
     assert_eq!(findings.len(), 2, "{bad:#?}");
     for f in &findings {
-        assert!(f.message.contains("process_frame_durable"), "{f}");
+        assert!(f.message.contains("apply_frame"), "{f}");
     }
 }
 

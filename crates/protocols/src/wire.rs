@@ -12,8 +12,8 @@
 //! sides: the magic `b"LDPC"`, a protocol [`VERSION`] byte, and a reserved
 //! flags byte (zero). Peers speaking another protocol fail fast with
 //! [`WireError::BadMagic`]; a peer on an *older* protocol version (v1 had
-//! no round routing — its report frames name no round) is a typed
-//! [`WireError::VersionDowngrade`], a *newer* one a
+//! no round routing, v2 still spoke the retired singleton `REPORT` frame)
+//! is a typed [`WireError::VersionDowngrade`], a *newer* one a
 //! [`WireError::UnsupportedVersion`]. The split matters operationally: a
 //! downgrade names the exact remediation (upgrade the peer), while an
 //! upgrade means this side is the stale one.
@@ -66,12 +66,13 @@ use std::io::{Read, Write};
 /// Magic bytes opening every collection stream.
 pub const MAGIC: [u8; 4] = *b"LDPC";
 
-/// Wire protocol version this codec speaks. Version 2 routes every
-/// report-bearing frame by an explicit round id (see
-/// [`encode_routed_report`] / [`encode_routed_batch`]) so one daemon can
-/// multiplex many concurrent rounds; version 1 frames carried none and
-/// are refused at the handshake with [`WireError::VersionDowngrade`].
-pub const VERSION: u8 = 2;
+/// Wire protocol version this codec speaks. Version 2 routed every
+/// report-bearing frame by an explicit round id so one daemon can
+/// multiplex many concurrent rounds; version 3 retired the singleton
+/// `REPORT` frame, leaving [`encode_routed_batch`] as the one report
+/// payload (a batch of one covers a single report). Older peers are
+/// refused at the handshake with [`WireError::VersionDowngrade`].
+pub const VERSION: u8 = 3;
 
 /// Upper bound on one frame's `kind + payload` length (64 MiB). Large
 /// enough for a finalized view at the collector's population cap, small
@@ -89,7 +90,7 @@ pub const MAX_WIRE_POPULATION: usize = 1 << 27;
 /// per-entry work: a hostile count is a typed refusal, not a loop bound.
 pub const MAX_REPORTS_PER_BATCH: usize = 1 << 16;
 
-/// Frame kind bytes of the collection protocol (wire version 2).
+/// Frame kind bytes of the collection protocol (wire version 3).
 ///
 /// These live here, next to the codec, rather than in the collector
 /// daemon: the `ldp-lint` wire-totality rules (`opcode-arm`,
@@ -99,13 +100,14 @@ pub const MAX_REPORTS_PER_BATCH: usize = 1 << 16;
 pub mod frames {
     /// Client → server: open a round (round id, tenant, channel, quota).
     pub const OPEN: u8 = 0x01;
-    /// Client → server: one routed report (unacknowledged).
-    pub const REPORT: u8 = 0x02;
+    // 0x02 was the singleton `REPORT` frame of wire v2, retired in v3 in
+    // favor of `REPORT_BATCH`; the byte is never reused.
     /// Client → server: close the named round, reply with the summary.
     pub const CLOSE: u8 = 0x03;
     /// Client → server: finalize the named closed round.
     pub const FINALIZE: u8 = 0x04;
-    /// Client → server: snapshot the named round to the checkpoint path.
+    /// Client → server: snapshot the named round into the daemon's data
+    /// directory (refused on a daemon without one).
     pub const CHECKPOINT: u8 = 0x05;
     /// Client → server: stop the daemon after this session.
     pub const SHUTDOWN: u8 = 0x06;
@@ -156,8 +158,8 @@ pub mod journal {
     pub const SEGMENT_VERSION: u8 = 1;
     /// A round was opened; payload = the `OPEN` frame payload verbatim.
     pub const REC_OPEN: u8 = 0x01;
-    /// One routed report; payload = the `REPORT` frame payload verbatim.
-    pub const REC_REPORT: u8 = 0x02;
+    // 0x02 held one singleton `REPORT` payload until wire v3 retired that
+    // frame; replay refuses it as an unknown record kind.
     /// A routed report batch; payload = the `REPORT_BATCH` frame payload
     /// verbatim.
     pub const REC_BATCH: u8 = 0x03;
@@ -186,9 +188,9 @@ pub enum WireError {
         /// Version byte received.
         got: u8,
     },
-    /// The peer speaks a protocol version *older* than this codec — its
-    /// report frames would carry no round id, so multiplexed rounds
-    /// cannot be served to it. The peer needs upgrading.
+    /// The peer speaks a protocol version *older* than this codec (v1
+    /// frames carry no round id; v2 clients send the retired singleton
+    /// `REPORT` frame). The peer needs upgrading.
     VersionDowngrade {
         /// Version byte received.
         got: u8,
@@ -252,8 +254,8 @@ impl fmt::Display for WireError {
             WireError::VersionDowngrade { got } => {
                 write!(
                     f,
-                    "peer speaks wire version {got}, older than {VERSION}: its report \
-                     frames carry no round id — upgrade the peer"
+                    "peer speaks wire version {got}, but this side speaks {VERSION} and \
+                     refuses older peers — upgrade the peer"
                 )
             }
             WireError::OversizeFrame { len } => {
@@ -585,31 +587,20 @@ pub fn encode_adjacency_report(user_id: u64, report: &AdjacencyReport, out: &mut
 /// oversize populations, row overruns, non-canonical padding, or trailing
 /// bytes. Never panics.
 pub fn decode_report(mut buf: &[u8]) -> Result<(u64, UserReport), WireError> {
-    let (user_id, report) = decode_report_prefix(&mut buf)?;
-    expect_end(buf)?;
-    Ok((user_id, report))
-}
-
-/// Like [`decode_report`], but reads one report off the front of `buf`
-/// (advancing it) instead of requiring the buffer to end with it.
-///
-/// # Errors
-/// As [`decode_report`], minus the trailing-bytes check.
-pub fn decode_report_prefix(buf: &mut &[u8]) -> Result<(u64, UserReport), WireError> {
-    let user_id = get_varint(buf)?;
+    let user_id = get_varint(&mut buf)?;
     let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-    *buf = rest;
-    match tag {
+    buf = rest;
+    let report = match tag {
         TAG_ADJACENCY => {
-            let degree = get_f64(buf)?;
-            let n = checked_len(get_varint(buf)?)?;
+            let degree = get_f64(&mut buf)?;
+            let n = checked_len(get_varint(&mut buf)?)?;
             let max_words = n.div_ceil(64);
-            let words = get_varint(buf)? as usize;
+            let words = get_varint(&mut buf)? as usize;
             if words > max_words {
                 return Err(WireError::RowOverrun { words, max_words });
             }
             let mut bits = BitSet::new(n);
-            get_u64s(buf, &mut bits.words_mut()[..words])?;
+            get_u64s(&mut buf, &mut bits.words_mut()[..words])?;
             // Reject rows claiming slots the population does not have —
             // decoded reports are canonical by construction.
             let tail_start = bits.count_ones();
@@ -617,24 +608,23 @@ pub fn decode_report_prefix(buf: &mut &[u8]) -> Result<(u64, UserReport), WireEr
             if bits.count_ones() != tail_start {
                 return Err(WireError::BadPadding);
             }
-            Ok((
-                user_id,
-                UserReport::Adjacency(AdjacencyReport::new(bits, degree)),
-            ))
+            UserReport::Adjacency(AdjacencyReport::new(bits, degree))
         }
         TAG_DEGREE_VECTOR => {
-            let k = checked_len(get_varint(buf)?)?;
+            let k = checked_len(get_varint(&mut buf)?)?;
             if buf.len() < k.saturating_mul(8) {
                 return Err(WireError::Truncated);
             }
             let mut v = Vec::with_capacity(k);
             for _ in 0..k {
-                v.push(get_f64(buf)?);
+                v.push(get_f64(&mut buf)?);
             }
-            Ok((user_id, UserReport::DegreeVector(v)))
+            UserReport::DegreeVector(v)
         }
-        tag => Err(WireError::UnknownReportTag { tag }),
-    }
+        tag => return Err(WireError::UnknownReportTag { tag }),
+    };
+    expect_end(buf)?;
+    Ok((user_id, report))
 }
 
 fn checked_len(claimed: u64) -> Result<usize, WireError> {
@@ -662,18 +652,6 @@ pub fn encode_batch_entry(
     encode_report(user_id, report, scratch);
     put_varint(scratch.len() as u64, out);
     out.extend_from_slice(scratch);
-}
-
-/// Encodes a whole `REPORT_BATCH` payload: `varint K` followed by `K`
-/// length-prefixed [`encode_report`] entries. The per-entry length prefix
-/// is what lets the decoder skip over one malformed entry without losing
-/// frame sync on the rest of the batch.
-pub fn encode_report_batch(entries: &[(u64, UserReport)], out: &mut Vec<u8>) {
-    put_varint(entries.len() as u64, out);
-    let mut scratch = Vec::new();
-    for (user_id, report) in entries {
-        encode_batch_entry(*user_id, report, &mut scratch, out);
-    }
 }
 
 /// Incremental decoder over a `REPORT_BATCH` payload.
@@ -732,68 +710,44 @@ impl ReportBatch<'_> {
     }
 }
 
-/// Opens a `REPORT_BATCH` payload produced by [`encode_report_batch`],
-/// proving the claimed entry count against [`MAX_REPORTS_PER_BATCH`]
-/// before any per-entry work.
-///
-/// # Errors
-/// [`WireError::Truncated`] / [`WireError::VarintOverflow`] on a malformed
-/// count, [`WireError::OversizeBatch`] past the cap.
-pub fn read_report_batch(payload: &[u8]) -> Result<ReportBatch<'_>, WireError> {
-    let mut buf = payload;
-    let claimed = get_varint(&mut buf)?;
-    if claimed > MAX_REPORTS_PER_BATCH as u64 {
-        return Err(WireError::OversizeBatch { claimed });
-    }
-    Ok(ReportBatch {
-        buf,
-        remaining: claimed as usize,
-        poisoned: false,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Round-routed payloads (wire v2)
-// ---------------------------------------------------------------------------
-
-/// Encodes a round-routed `REPORT` payload: `varint round_id` followed by
-/// the [`encode_report`] bytes. Since wire v2 every report-bearing frame
-/// names its round explicitly, so a daemon multiplexing concurrent rounds
-/// can route each frame without per-session round state.
-pub fn encode_routed_report(round_id: u64, user_id: u64, report: &UserReport, out: &mut Vec<u8>) {
-    put_varint(round_id, out);
-    encode_report(user_id, report, out);
-}
-
-/// Decodes a payload produced by [`encode_routed_report`], returning the
-/// round id, user id, and canonical report.
-///
-/// # Errors
-/// As [`decode_report`], plus varint failures on the round id.
-pub fn decode_routed_report(mut buf: &[u8]) -> Result<(u64, u64, UserReport), WireError> {
-    let round_id = get_varint(&mut buf)?;
-    let (user_id, report) = decode_report_prefix(&mut buf)?;
-    expect_end(buf)?;
-    Ok((round_id, user_id, report))
-}
-
-/// Encodes a round-routed `REPORT_BATCH` payload: `varint round_id`,
-/// `varint K`, then `K` length-prefixed [`encode_report`] entries — the
-/// v2 framing of [`encode_report_batch`].
+/// Encodes a `REPORT_BATCH` payload: `varint round_id`, `varint K`, then
+/// `K` length-prefixed [`encode_report`] entries. Every report-bearing
+/// frame names its round, so a daemon multiplexing concurrent rounds can
+/// route each frame without per-session round state; the per-entry
+/// length prefix is what lets the decoder skip over one malformed entry
+/// without losing frame sync on the rest of the batch.
 pub fn encode_routed_batch(round_id: u64, entries: &[(u64, UserReport)], out: &mut Vec<u8>) {
     put_varint(round_id, out);
-    encode_report_batch(entries, out);
+    put_varint(entries.len() as u64, out);
+    let mut scratch = Vec::new();
+    for (user_id, report) in entries {
+        encode_batch_entry(*user_id, report, &mut scratch, out);
+    }
 }
 
 /// Opens a payload produced by [`encode_routed_batch`], returning the
 /// round id every entry belongs to and the incremental entry decoder.
+/// The claimed entry count is proved against [`MAX_REPORTS_PER_BATCH`]
+/// before any per-entry work.
 ///
 /// # Errors
-/// As [`read_report_batch`], plus varint failures on the round id.
+/// [`WireError::Truncated`] / [`WireError::VarintOverflow`] on a malformed
+/// round id or count, [`WireError::OversizeBatch`] past the cap.
 pub fn read_routed_batch(payload: &[u8]) -> Result<(u64, ReportBatch<'_>), WireError> {
     let mut buf = payload;
     let round_id = get_varint(&mut buf)?;
-    Ok((round_id, read_report_batch(buf)?))
+    let claimed = get_varint(&mut buf)?;
+    if claimed > MAX_REPORTS_PER_BATCH as u64 {
+        return Err(WireError::OversizeBatch { claimed });
+    }
+    Ok((
+        round_id,
+        ReportBatch {
+            buf,
+            remaining: claimed as usize,
+            poisoned: false,
+        },
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,8 +1092,8 @@ mod tests {
             (130, adj(130, &[], 0.0)),
         ];
         let mut out = Vec::new();
-        encode_report_batch(&entries, &mut out);
-        let mut batch = read_report_batch(&out).unwrap();
+        encode_routed_batch(1, &entries, &mut out);
+        let (_, mut batch) = read_routed_batch(&out).unwrap();
         assert_eq!(batch.remaining(), 3);
         for (want_id, _) in &entries {
             let (id, _) = batch.next_entry().unwrap().unwrap();
@@ -1153,6 +1107,7 @@ mod tests {
     fn report_batch_isolates_malformed_entries() {
         // Entry 2 of 3 carries garbage bytes; 1 and 3 still decode.
         let mut out = Vec::new();
+        put_varint(1, &mut out); // round id
         put_varint(3, &mut out);
         let mut scratch = Vec::new();
         encode_batch_entry(1, &adj(10, &[2], 1.0), &mut scratch, &mut out);
@@ -1160,7 +1115,7 @@ mod tests {
         out.extend_from_slice(&[0xff, 0xff, 0xff, 0xff]);
         encode_batch_entry(3, &adj(10, &[5], 1.0), &mut scratch, &mut out);
 
-        let mut batch = read_report_batch(&out).unwrap();
+        let (_, mut batch) = read_routed_batch(&out).unwrap();
         assert!(batch.next_entry().unwrap().is_ok());
         assert!(batch.next_entry().unwrap().is_err());
         let (id, _) = batch.next_entry().unwrap().unwrap();
@@ -1172,17 +1127,19 @@ mod tests {
     fn report_batch_framing_errors_fuse_and_cap_applies() {
         // Hostile count.
         let mut out = Vec::new();
+        put_varint(1, &mut out); // round id
         put_varint(MAX_REPORTS_PER_BATCH as u64 + 1, &mut out);
         assert!(matches!(
-            read_report_batch(&out),
+            read_routed_batch(&out),
             Err(WireError::OversizeBatch { .. })
         ));
         // Entry length running past the payload fuses the decoder.
         let mut out = Vec::new();
+        put_varint(1, &mut out); // round id
         put_varint(2, &mut out);
         put_varint(100, &mut out);
         out.push(0);
-        let mut batch = read_report_batch(&out).unwrap();
+        let (_, mut batch) = read_routed_batch(&out).unwrap();
         assert!(matches!(
             batch.next_entry(),
             Some(Err(WireError::Truncated))
@@ -1191,9 +1148,9 @@ mod tests {
         batch.finish().unwrap(); // already surfaced; finish is a no-op
                                  // Trailing garbage after the last entry is typed.
         let mut out = Vec::new();
-        encode_report_batch(&[(4, adj(5, &[1], 0.0))], &mut out);
+        encode_routed_batch(1, &[(4, adj(5, &[1], 0.0))], &mut out);
         out.push(9);
-        let mut batch = read_report_batch(&out).unwrap();
+        let (_, mut batch) = read_routed_batch(&out).unwrap();
         assert!(batch.next_entry().unwrap().is_ok());
         assert!(matches!(
             batch.finish(),
@@ -1255,36 +1212,18 @@ mod tests {
             read_stream_header(&mut r),
             Err(WireError::UnsupportedVersion { got: 99 })
         ));
-        // A v1 peer (no round routing) is a typed *downgrade*, not a
-        // generic version failure — the error names the remediation.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&MAGIC);
-        v1.extend_from_slice(&[1, 0]);
-        let mut r = v1.as_slice();
-        assert!(matches!(
-            read_stream_header(&mut r),
-            Err(WireError::VersionDowngrade { got: 1 })
-        ));
-    }
-
-    #[test]
-    fn routed_report_roundtrips_and_types_failures() {
-        let report = adj(70, &[0, 69], 2.0);
-        let mut out = Vec::new();
-        encode_routed_report(913, 42, &report, &mut out);
-        let (round_id, user_id, got) = decode_routed_report(&out).unwrap();
-        assert_eq!(round_id, 913);
-        assert_eq!(user_id, 42);
-        let UserReport::Adjacency(got) = got else {
-            panic!("variant flipped");
-        };
-        let UserReport::Adjacency(want) = &report else {
-            unreachable!()
-        };
-        assert_eq!(got.bits, want.bits);
-        // Truncations stay typed through the round-id prefix.
-        for cut in 0..out.len() {
-            assert!(decode_routed_report(&out[..cut]).is_err(), "cut at {cut}");
+        // An older peer (v1: no round routing; v2: the retired singleton
+        // REPORT frame) is a typed *downgrade*, not a generic version
+        // failure — the error names the remediation.
+        for old in [1, 2] {
+            let mut stream = Vec::new();
+            stream.extend_from_slice(&MAGIC);
+            stream.extend_from_slice(&[old, 0]);
+            let mut r = stream.as_slice();
+            assert!(matches!(
+                read_stream_header(&mut r),
+                Err(WireError::VersionDowngrade { got }) if got == old
+            ));
         }
     }
 

@@ -121,8 +121,8 @@ proptest! {
             })
             .collect();
         let mut out = Vec::new();
-        wire::encode_report_batch(&entries, &mut out);
-        let mut batch = wire::read_report_batch(&out).expect("well-formed batch");
+        wire::encode_routed_batch(seed, &entries, &mut out);
+        let (_, mut batch) = wire::read_routed_batch(&out).expect("well-formed batch");
         prop_assert_eq!(batch.remaining(), count);
         for (want_id, want) in &entries {
             let (id, got) = batch.next_entry()
@@ -151,11 +151,11 @@ proptest! {
             .map(|k| (k as u64, synth_report(k % 2 == 0, n, 1, seed ^ k as u64)))
             .collect();
         let mut out = Vec::new();
-        wire::encode_report_batch(&entries, &mut out);
+        wire::encode_routed_batch(seed, &entries, &mut out);
         let cut = ((out.len() as f64) * cut_frac) as usize;
-        match wire::read_report_batch(&out[..cut.min(out.len() - 1)]) {
+        match wire::read_routed_batch(&out[..cut.min(out.len() - 1)]) {
             Err(_) => {}
-            Ok(mut batch) => {
+            Ok((_, mut batch)) => {
                 let mut decoded = 0usize;
                 let mut errored = false;
                 while let Some(entry) = batch.next_entry() {
@@ -177,7 +177,7 @@ proptest! {
     fn batch_random_bytes_never_panic(len in 0usize..128, seed in 0u64..u64::MAX) {
         let mut rng = Xoshiro256pp::new(seed);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();
-        if let Ok(mut batch) = wire::read_report_batch(&bytes) {
+        if let Ok((_, mut batch)) = wire::read_routed_batch(&bytes) {
             prop_assert!(batch.remaining() <= wire::MAX_REPORTS_PER_BATCH);
             let mut yielded = 0usize;
             while batch.next_entry().is_some() {
@@ -187,32 +187,10 @@ proptest! {
         }
     }
 
-    /// Routed (wire v2) round-trip identity: the round id survives next
-    /// to arbitrary ids and reports of both variants.
-    #[test]
-    fn routed_encode_decode_is_identity(
-        variant in 0usize..2,
-        n in 0usize..200,
-        seed in 0u64..u64::MAX,
-        round_id in 0u64..u64::MAX,
-        user_id in 0u64..u64::MAX,
-    ) {
-        let report = synth_report(variant == 0, n, 1, seed);
-        let mut out = Vec::new();
-        wire::encode_routed_report(round_id, user_id, &report, &mut out);
-        let (got_round, got_id, got) =
-            wire::decode_routed_report(&out).expect("well-formed frame must decode");
-        prop_assert_eq!(got_round, round_id);
-        prop_assert_eq!(got_id, user_id);
-        if let Err(msg) = assert_identical(&report, &got) {
-            prop_assert!(false, "{}", msg);
-        }
-    }
-
-    /// An interleaved stream of routed frames from random (round, user)
-    /// pairs lands every payload with exactly the round id it was
-    /// stamped with — routing is a pure function of the frame, never of
-    /// decode order or of neighboring frames.
+    /// An interleaved stream of routed batches of one, from random
+    /// (round, user) pairs, lands every payload with exactly the round id
+    /// it was stamped with — routing is a pure function of the frame,
+    /// never of decode order or of neighboring frames.
     #[test]
     fn interleaved_routed_frames_decode_to_their_own_round(
         frames in 1usize..24,
@@ -231,13 +209,14 @@ proptest! {
             .iter()
             .map(|(round, id, report)| {
                 let mut out = Vec::new();
-                wire::encode_routed_report(*round, *id, report, &mut out);
+                wire::encode_routed_batch(*round, &[(*id, report.clone())], &mut out);
                 out
             })
             .collect();
         for ((round, id, report), bytes) in stream.iter().zip(&encoded) {
-            let (got_round, got_id, got) =
-                wire::decode_routed_report(bytes).expect("decodes");
+            let (got_round, mut batch) = wire::read_routed_batch(bytes).expect("decodes");
+            let (got_id, got) = batch.next_entry().expect("one entry").expect("entry decodes");
+            prop_assert!(batch.finish().is_ok());
             prop_assert_eq!(got_round, *round);
             prop_assert_eq!(got_id, *id);
             if let Err(msg) = assert_identical(report, &got) {
@@ -330,12 +309,11 @@ proptest! {
 #[test]
 fn every_frame_opcode_round_trips_and_is_distinct() {
     use wire::frames::{
-        ACK, CHECKPOINT, CLOSE, DEGREE_SUMMARY, ERR, FINALIZE, OPEN, REPORT, REPORT_BATCH,
-        SHUTDOWN, STATS, STATS_REPLY, SUMMARY, SYNC, VIEW,
+        ACK, CHECKPOINT, CLOSE, DEGREE_SUMMARY, ERR, FINALIZE, OPEN, REPORT_BATCH, SHUTDOWN, STATS,
+        STATS_REPLY, SUMMARY, SYNC, VIEW,
     };
     let opcodes = [
         OPEN,
-        REPORT,
         CLOSE,
         FINALIZE,
         CHECKPOINT,
@@ -396,10 +374,10 @@ fn bad_version_is_typed() {
 
 #[test]
 fn version_downgrade_is_typed_distinctly() {
-    // A v1 peer has no round routing — its report frames would all land
-    // on a garbage round. The handshake refuses it with a *downgrade*
-    // error, distinct from the too-new case, carrying the offered
-    // version.
+    // A v1 peer has no round routing, and a v2 peer still sends the
+    // retired singleton REPORT frame. The handshake refuses both with a
+    // *downgrade* error, distinct from the too-new case, carrying the
+    // offered version.
     for old in 0..wire::VERSION {
         let mut stream = Vec::new();
         stream.extend_from_slice(&wire::MAGIC);
@@ -413,16 +391,19 @@ fn version_downgrade_is_typed_distinctly() {
 }
 
 #[test]
-fn routed_report_truncations_are_typed() {
-    let report = synth_report(true, 33, 1, 4);
-    let mut out = Vec::new();
-    wire::encode_routed_report(712, 9, &report, &mut out);
-    for cut in 0..out.len() {
-        assert!(
-            wire::decode_routed_report(&out[..cut]).is_err(),
-            "cut at {cut} decoded"
-        );
-    }
+fn version_downgrade_message_names_both_versions() {
+    // The refusal a v2 peer reads names its version and ours, and no
+    // cause that only held for v1.
+    let message = WireError::VersionDowngrade { got: 2 }.to_string();
+    assert_eq!(
+        message,
+        format!(
+            "peer speaks wire version 2, but this side speaks {} and refuses older \
+             peers — upgrade the peer",
+            wire::VERSION
+        )
+    );
+    assert!(!message.contains("round id"), "{message}");
 }
 
 #[test]
