@@ -1,7 +1,7 @@
 //! Load generator for the collection daemon: replays honest +
 //! attack-crafted report streams (via the `Attack` trait) against a
 //! collector, at a configurable rate, and records throughput + peak RSS
-//! in `BENCH_collector.json`.
+//! in `BENCH_loadgen.json`.
 //!
 //! ```text
 //! collector_loadgen [--channel degree-vector|adjacency]
@@ -365,6 +365,6 @@ fn main() {
         refusals,
         peak_rss_bytes(),
     );
-    std::fs::write("BENCH_collector.json", &json).expect("write BENCH_collector.json");
+    std::fs::write("BENCH_loadgen.json", &json).expect("write BENCH_loadgen.json");
     print!("{json}");
 }

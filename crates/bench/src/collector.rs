@@ -2,8 +2,8 @@
 //! setup, honest + attack-crafted report replay through the
 //! [`poison_core::Attack`] trait — over one batched connection or over
 //! `C` concurrent sessions — throughput accounting, and the
-//! `BENCH_collector.json` record. Used by the `collector_smoke` (CI) and
-//! `collector_loadgen` (operator CLI) binaries.
+//! JSON records. Used by the `collector_smoke` (CI, `BENCH_collector.json`)
+//! and `collector_loadgen` (operator CLI, `BENCH_loadgen.json`) binaries.
 
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RoundChannel,

@@ -17,7 +17,8 @@
 //!
 //! The [`collector`] module carries the shared harness behind the
 //! `collector_smoke` and `collector_loadgen` binaries (loopback daemon
-//! setup, report replay, throughput accounting, `BENCH_collector.json`).
+//! setup, report replay, throughput accounting, `BENCH_collector.json` /
+//! `BENCH_loadgen.json`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

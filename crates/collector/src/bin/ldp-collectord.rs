@@ -14,7 +14,8 @@
 //! Without `--data-dir` the daemon keeps rounds in memory only and
 //! refuses `CHECKPOINT` frames with a typed `CHECKPOINT_FAILED`; with it,
 //! every state-changing frame is journaled under `--fsync` (default
-//! `always`) and checkpoints snapshot into `DIR`.
+//! `always`) and a checkpoint is a run of journal records in `DIR`, which
+//! holds nothing but `wal-*.ldpw` segments.
 //!
 //! Prints `ADDR <socket-addr>` on stdout once bound (the harness reads
 //! the ephemeral port from it), then serves until a client sends

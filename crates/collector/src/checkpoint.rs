@@ -1,45 +1,42 @@
-//! Checkpoint/resume: snapshotting an in-flight round to disk.
+//! Checkpoints: an in-flight round as write-ahead-journal records.
 //!
 //! A round at a million users is minutes of intake; a collector restart
-//! must not cost the epoch. [`RoundCollector::checkpoint`] writes one
-//! named round's complete state — lifecycle metadata, owning tenant,
-//! counters, and every shard's seen-bitmap, degrees/sums, and packed
-//! rows — to a writer; [`RoundCollector::resume`] reconstructs a
-//! collector mid-round from it. Under the concurrent ingest plane,
-//! checkpointing takes that round's *slot write* lock: every in-flight
-//! ingest of the round (each holds the slot read lock for the duration
-//! of one fold) drains first, so the snapshot always sits on a frame
-//! boundary — a report is either fully folded into it or not in it at
-//! all, never half-written. Other rounds in the registry keep ingesting,
-//! untouched. Resumed intake continues exactly where it stopped: the
-//! same duplicate set, the same quota charge, and a finalize
-//! bit-identical to an uninterrupted run (pinned by the tests below and
-//! by `tests/concurrent.rs` with sessions racing the snapshot).
+//! must not cost the epoch. [`RoundCollector::checkpoint`] encodes one
+//! named round's complete state as journal record payloads (layouts at
+//! [`ldp_protocols::wire::journal`]): one `REC_SNAPSHOT` per shard — its
+//! counters, seen-bitmap, degrees/sums and packed rows — handed to a sink
+//! as soon as it is encoded, then the `REC_CHECKPOINT` marker holding the
+//! round head (owning tenant, channel, quota, counters, `closed`, shard
+//! count). [`RoundCollector::restore`] rebuilds the round from the marker
+//! and its shard records. The journal ([`crate::wal`]) appends the records
+//! to its own segments, so one reader, one framing and one torn-write
+//! discipline cover snapshots and the report tail alike. A record per
+//! shard, not per round, keeps each one inside a wire frame: a shard's
+//! state is bounded by the population and group caps, a round's grows
+//! with the shard count.
 //!
-//! The format reuses the wire codec's primitives (varints, `f64`/`u64`
-//! bit patterns) under its own magic `LDPK`, so a checkpoint is as
-//! versioned and as type-checked on load as a network frame: every
-//! malformed or geometry-mismatched file is a typed
-//! [`CollectorError::BadCheckpoint`]. Only the current
-//! [`CHECKPOINT_VERSION`] is read: older files (v1 had no owning tenant,
-//! v2 no `rejected_malformed` counter) are refused with the same typed
-//! error rather than guessed at.
+//! Under the concurrent ingest plane, checkpointing takes that round's
+//! *slot write* lock: every in-flight ingest of the round (each holds the
+//! slot read lock for the duration of one fold) drains first, so the
+//! snapshot always sits on a frame boundary — a report is either fully
+//! folded into it or not in it at all, never half-written. Other rounds in
+//! the registry keep ingesting, untouched. Restored intake continues
+//! exactly where it stopped: the same duplicate set, the same quota
+//! charge, and a finalize bit-identical to an uninterrupted run (pinned by
+//! the tests below and by `tests/concurrent.rs` with sessions racing the
+//! snapshot).
+//!
+//! The payloads reuse the wire codec's primitives (varints, `f64`/`u64`
+//! bit patterns), so a checkpoint is as type-checked on load as a network
+//! frame: every malformed or geometry-mismatched payload is a typed
+//! [`CollectorError::BadCheckpoint`] naming the field that failed.
 
 use crate::error::CollectorError;
-use crate::round::{write_lock, CollectorConfig, RoundChannel, RoundCollector, Store};
+use crate::round::{write_lock, RoundChannel, RoundCollector, Store};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{get_f64, get_u64, get_varint, put_f64, put_u64, put_varint, WireError};
-use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-
-/// Magic bytes opening a checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
-
-/// Checkpoint format version (3: the `rejected_malformed` counter
-/// follows `rejected_invalid`; 2 added the owning tenant). The only
-/// version [`RoundCollector::resume`] accepts.
-pub const CHECKPOINT_VERSION: u8 = 3;
 
 const CHANNEL_ADJACENCY: u8 = 0;
 const CHANNEL_DEGREE_VECTOR: u8 = 1;
@@ -49,14 +46,21 @@ const CHANNEL_DEGREE_VECTOR: u8 = 1;
 type ShardSnapshot<'a> = (u64, u64, &'a [u64], &'a [f64], &'a [u64]);
 
 impl RoundCollector {
-    /// Snapshots the named round to `w`. Quiesces that round's concurrent
-    /// sessions at a frame boundary first (see the module docs); every
-    /// other round keeps ingesting.
+    /// Encodes the named round as checkpoint records: `shard_record` gets
+    /// each shard's `REC_SNAPSHOT` payload in shard order, and the
+    /// `REC_CHECKPOINT` marker payload is returned. Quiesces that round's
+    /// concurrent sessions at a frame boundary for the whole encoding (see
+    /// the module docs); every other round keeps ingesting. Only one
+    /// shard's record is in memory at a time.
     ///
     /// # Errors
-    /// [`CollectorError::UnknownRound`] when no round has this id; I/O
-    /// errors from the writer.
-    pub fn checkpoint(&self, round_id: u64, w: &mut impl Write) -> Result<(), CollectorError> {
+    /// [`CollectorError::UnknownRound`] when no round has this id; the
+    /// first error `shard_record` returns.
+    pub fn checkpoint(
+        &self,
+        round_id: u64,
+        mut shard_record: impl FnMut(&[u8]) -> Result<(), CollectorError>,
+    ) -> Result<Vec<u8>, CollectorError> {
         let checkpoint_begin = self.metrics().active().then(Instant::now);
         self.metrics()
             .emit(TraceEvent::QuiesceBegin { round: round_id });
@@ -65,36 +69,15 @@ impl RoundCollector {
         let round = guard
             .as_mut()
             .ok_or(CollectorError::UnknownRound { round_id })?;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        buf.push(CHECKPOINT_VERSION);
-        put_varint(round.round_id, &mut buf);
-        put_varint(slot.tenant, &mut buf);
-        match round.channel {
-            RoundChannel::Adjacency { population, p_keep } => {
-                buf.push(CHANNEL_ADJACENCY);
-                put_varint(population as u64, &mut buf);
-                put_f64(p_keep, &mut buf);
-            }
-            RoundChannel::DegreeVector { population, groups } => {
-                buf.push(CHANNEL_DEGREE_VECTOR);
-                put_varint(population as u64, &mut buf);
-                put_varint(groups as u64, &mut buf);
-            }
-        }
-        put_varint(round.quota, &mut buf);
-        put_varint(round.submitted.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_quota.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_invalid.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_malformed.load(Ordering::Acquire), &mut buf);
-        buf.push(u8::from(round.closed.load(Ordering::Acquire)));
-
-        let snapshot: Vec<ShardSnapshot<'_>> = match &mut round.store {
+        let shards: Vec<ShardSnapshot<'_>> = match &mut round.store {
             Store::Adjacency { shards, .. } => shards.snapshot_shards().collect(),
             Store::DegreeVector { shards, .. } => shards.snapshot_shards().collect(),
         };
-        put_varint(snapshot.len() as u64, &mut buf);
-        for (accepted, duplicates, seen, floats, words) in snapshot {
+        let mut buf = Vec::new();
+        for (shard_idx, &(accepted, duplicates, seen, floats, words)) in shards.iter().enumerate() {
+            buf.clear();
+            put_varint(round_id, &mut buf);
+            put_varint(shard_idx as u64, &mut buf);
             put_varint(accepted, &mut buf);
             put_varint(duplicates, &mut buf);
             put_varint(seen.len() as u64, &mut buf);
@@ -109,9 +92,35 @@ impl RoundCollector {
             for &wd in words {
                 put_u64(wd, &mut buf);
             }
+            shard_record(&buf)?;
         }
-        w.write_all(&buf)?;
-        w.flush()?;
+
+        let mut marker = Vec::new();
+        put_varint(round_id, &mut marker);
+        put_varint(shards.len() as u64, &mut marker);
+        put_varint(slot.tenant, &mut marker);
+        match round.channel {
+            RoundChannel::Adjacency { population, p_keep } => {
+                marker.push(CHANNEL_ADJACENCY);
+                put_varint(population as u64, &mut marker);
+                put_f64(p_keep, &mut marker);
+            }
+            RoundChannel::DegreeVector { population, groups } => {
+                marker.push(CHANNEL_DEGREE_VECTOR);
+                put_varint(population as u64, &mut marker);
+                put_varint(groups as u64, &mut marker);
+            }
+        }
+        put_varint(round.quota, &mut marker);
+        put_varint(round.submitted.load(Ordering::Acquire), &mut marker);
+        put_varint(round.rejected_quota.load(Ordering::Acquire), &mut marker);
+        put_varint(round.rejected_invalid.load(Ordering::Acquire), &mut marker);
+        put_varint(
+            round.rejected_malformed.load(Ordering::Acquire),
+            &mut marker,
+        );
+        marker.push(u8::from(round.closed.load(Ordering::Acquire)));
+        drop(guard);
         self.metrics()
             .emit(TraceEvent::QuiesceEnd { round: round_id });
         if let Some(begin) = checkpoint_begin {
@@ -119,175 +128,70 @@ impl RoundCollector {
                 .checkpoint_nanos
                 .observe(begin.elapsed().as_nanos() as u64);
         }
-        Ok(())
+        Ok(marker)
     }
 
-    /// Reconstructs a mid-round collector from a checkpoint produced by
-    /// [`Self::checkpoint`]. `config` supplies the runtime knobs
-    /// (threads, session cap, population cap); the round geometry —
-    /// channel, population, shard count — comes from the file, so a
-    /// checkpoint resumes correctly under a different thread budget.
+    /// Restores a checkpointed round **into this engine**, alongside
+    /// whatever rounds it already holds, from its `REC_CHECKPOINT`
+    /// `marker` payload and the `REC_SNAPSHOT` payloads of
+    /// [`Self::checkpoint`]: `shard_records` ends with them in shard order,
+    /// and any records before those (the orphans of an interrupted
+    /// earlier checkpoint) are ignored. The shard geometry must match
+    /// this engine's configuration exactly: a checkpoint is written by
+    /// the same daemon that restores it, so a mismatch means the records
+    /// belong to a differently-configured daemon and are refused rather
+    /// than re-sharded. The runtime caps re-apply: a round that no longer
+    /// fits them is refused at its re-open.
     ///
     /// # Errors
     /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard
-    /// layout inconsistent with the recorded round.
-    pub fn resume(config: CollectorConfig, r: &mut impl Read) -> Result<Self, CollectorError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let head = parse_head(&mut bytes.as_slice())?;
-        let (channel, num_shards) = (head.channel, head.num_shards);
-        // Rebuild an empty engine with the file's shard geometry, then
-        // restore each shard's state over it.
-        let engine = RoundCollector::new(CollectorConfig {
-            shards: num_shards,
-            // The round was admitted once; the caps re-apply to *new*
-            // rounds, not to resuming this one.
-            max_population: config.max_population.max(channel.population()),
-            max_degree_vector_population: config
-                .max_degree_vector_population
-                .max(channel.population()),
-            max_groups: match channel {
-                RoundChannel::DegreeVector { groups, .. } => config.max_groups.max(groups),
-                RoundChannel::Adjacency { .. } => config.max_groups,
-            },
-            memory_budget: config.memory_budget.max(channel.memory_cost(num_shards)),
-            ..config
-        })?;
-        restore_round(&engine, &bytes)?;
-        Ok(engine)
-    }
-
-    /// Restores one checkpointed round **into this engine** alongside
-    /// whatever rounds it already holds — the write-ahead-journal
-    /// recovery path, where one engine rebuilds every open round from a
-    /// data directory. Unlike [`Self::resume`], the shard geometry must
-    /// match this engine's configuration exactly: the daemon's own
-    /// journal-coordinated checkpoints are written by the same engine, so
-    /// a mismatch means the file belongs to a differently-configured
-    /// daemon and is refused rather than re-sharded.
-    ///
-    /// # Errors
-    /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard
-    /// count differing from `config.shards`; admission refusals if the
-    /// round no longer fits this engine's caps.
-    pub fn resume_round_into(&self, r: &mut impl Read) -> Result<u64, CollectorError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        restore_round(self, &bytes)
-    }
-}
-
-/// Everything before the per-shard payload of a checkpoint file.
-struct CheckpointHead {
-    round_id: u64,
-    tenant: u64,
-    channel: RoundChannel,
-    quota: u64,
-    submitted: u64,
-    rejected_quota: u64,
-    rejected_invalid: u64,
-    rejected_malformed: u64,
-    closed: bool,
-    num_shards: usize,
-}
-
-fn parse_head(buf: &mut &[u8]) -> Result<CheckpointHead, CollectorError> {
-    let header = take(buf, 5)?;
-    if !header.starts_with(&CHECKPOINT_MAGIC) {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "bad magic",
-        });
-    }
-    if header[4] != CHECKPOINT_VERSION {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "unsupported checkpoint version",
-        });
-    }
-    let round_id = get_varint(buf).map_err(bad("round id"))?;
-    let tenant = get_varint(buf).map_err(bad("tenant"))?;
-    let channel_tag = take(buf, 1)?[0];
-    let channel = match channel_tag {
-        CHANNEL_ADJACENCY => {
-            let population = get_varint(buf).map_err(bad("population"))? as usize;
-            let p_keep = get_f64(buf).map_err(bad("p_keep"))?;
-            RoundChannel::Adjacency { population, p_keep }
-        }
-        CHANNEL_DEGREE_VECTOR => {
-            let population = get_varint(buf).map_err(bad("population"))? as usize;
-            let groups = get_varint(buf).map_err(bad("groups"))? as usize;
-            RoundChannel::DegreeVector { population, groups }
-        }
-        _ => {
+    /// count differing from the configured one;
+    /// [`CollectorError::BadJournal`] when `shard_records` are not this
+    /// marker's (too few, or another round's or shard's); admission refusals
+    /// when the round no longer fits this engine.
+    pub fn restore(&self, marker: &[u8], shard_records: &[&[u8]]) -> Result<u64, CollectorError> {
+        let head = parse_head(marker)?;
+        if head.num_shards != self.config().shards {
             return Err(CollectorError::BadCheckpoint {
-                detail: "unknown channel tag",
-            })
+                detail: "shard geometry differs from the engine's configuration",
+            });
         }
-    };
-    let quota = get_varint(buf).map_err(bad("quota"))?;
-    let submitted = get_varint(buf).map_err(bad("submitted"))?;
-    let rejected_quota = get_varint(buf).map_err(bad("rejected_quota"))?;
-    let rejected_invalid = get_varint(buf).map_err(bad("rejected_invalid"))?;
-    let rejected_malformed = get_varint(buf).map_err(bad("rejected_malformed"))?;
-    let closed = take(buf, 1)?[0] != 0;
-    let num_shards = get_varint(buf).map_err(bad("shard count"))? as usize;
-    if num_shards == 0 || num_shards > 1 << 16 {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "implausible shard count",
-        });
-    }
-    Ok(CheckpointHead {
-        round_id,
-        tenant,
-        channel,
-        quota,
-        submitted,
-        rejected_quota,
-        rejected_invalid,
-        rejected_malformed,
-        closed,
-        num_shards,
-    })
-}
-
-/// Opens the checkpointed round on `engine` and restores its counters and
-/// per-shard state. The shard count recorded in the file must equal the
-/// engine's — see [`RoundCollector::resume_round_into`].
-fn restore_round(engine: &RoundCollector, bytes: &[u8]) -> Result<u64, CollectorError> {
-    let mut buf = bytes;
-    let head = parse_head(&mut buf)?;
-    let CheckpointHead {
-        round_id,
-        tenant,
-        channel,
-        quota,
-        submitted,
-        rejected_quota,
-        rejected_invalid,
-        rejected_malformed,
-        closed,
-        num_shards,
-    } = head;
-    if num_shards != engine.config().shards {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "shard geometry differs from the engine's configuration",
-        });
-    }
-    engine.open_round_as(tenant, round_id, channel, Some(quota))?;
-    {
-        let slot = engine.slot(round_id)?;
+        let own = shard_records
+            .len()
+            .checked_sub(head.num_shards)
+            .and_then(|start| shard_records.get(start..))
+            .ok_or(CollectorError::BadJournal {
+                detail: "checkpoint marker without its shard records",
+            })?;
+        let round_id = head.round_id;
+        self.open_round_as(head.tenant, round_id, head.channel, Some(head.quota))?;
+        let slot = self.slot(round_id)?;
         let mut guard = write_lock(&slot.inner);
-        // The round was opened three lines up, so this is always
-        // `Some` — but resume is a decode path, and decode paths
-        // return typed errors rather than panic (ldp-lint no-unwrap).
+        // The round was opened just above, so this is always `Some` — but
+        // restore is a decode path, and decode paths return typed errors
+        // rather than panic (ldp-lint no-unwrap).
         let round = guard.as_mut().ok_or(CollectorError::BadCheckpoint {
             detail: "round vanished while restoring shards",
         })?;
-        for shard_idx in 0..num_shards {
-            let accepted = get_varint(&mut buf).map_err(bad("shard accepted"))?;
-            let duplicates = get_varint(&mut buf).map_err(bad("shard duplicates"))?;
-            let seen = read_u64s(&mut buf)?;
-            let floats = read_f64s(&mut buf)?;
-            let words = read_u64s(&mut buf)?;
+        for (shard_idx, record) in own.iter().enumerate() {
+            let mut buf = *record;
+            if varint(&mut buf, "shard record round id")? != round_id
+                || varint(&mut buf, "shard index")? != shard_idx as u64
+            {
+                return Err(CollectorError::BadJournal {
+                    detail: "shard record does not match its checkpoint marker",
+                });
+            }
+            let accepted = varint(&mut buf, "shard accepted count")?;
+            let duplicates = varint(&mut buf, "shard duplicate count")?;
+            let seen = read_array(&mut buf, "seen-bitmap words", get_u64)?;
+            let floats = read_array(&mut buf, "degrees or group sums", get_f64)?;
+            let words = read_array(&mut buf, "row words", get_u64)?;
+            if !buf.is_empty() {
+                return Err(CollectorError::BadCheckpoint {
+                    detail: "trailing bytes after a shard record",
+                });
+            }
             let restored = match &mut round.store {
                 Store::Adjacency { shards, .. } => {
                     shards.restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
@@ -298,66 +202,109 @@ fn restore_round(engine: &RoundCollector, bytes: &[u8]) -> Result<u64, Collector
             };
             restored.map_err(|detail| CollectorError::BadCheckpoint { detail })?;
         }
-        if !buf.is_empty() {
-            return Err(CollectorError::BadCheckpoint {
-                detail: "trailing bytes",
-            });
-        }
-        round.submitted.store(submitted, Ordering::Release);
+        round.submitted.store(head.submitted, Ordering::Release);
         round
             .rejected_quota
-            .store(rejected_quota, Ordering::Release);
+            .store(head.rejected_quota, Ordering::Release);
         round
             .rejected_invalid
-            .store(rejected_invalid, Ordering::Release);
+            .store(head.rejected_invalid, Ordering::Release);
         round
             .rejected_malformed
-            .store(rejected_malformed, Ordering::Release);
-        round.closed.store(closed, Ordering::Release);
+            .store(head.rejected_malformed, Ordering::Release);
+        round.closed.store(head.closed, Ordering::Release);
+        Ok(round_id)
     }
-    Ok(round_id)
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CollectorError> {
-    let (head, rest) = buf
-        .split_at_checked(n)
-        .ok_or(CollectorError::BadCheckpoint {
-            detail: "truncated",
-        })?;
-    *buf = rest;
+/// The round head a `REC_CHECKPOINT` marker carries.
+struct CheckpointHead {
+    round_id: u64,
+    num_shards: usize,
+    tenant: u64,
+    channel: RoundChannel,
+    quota: u64,
+    submitted: u64,
+    rejected_quota: u64,
+    rejected_invalid: u64,
+    rejected_malformed: u64,
+    closed: bool,
+}
+
+fn parse_head(mut buf: &[u8]) -> Result<CheckpointHead, CollectorError> {
+    let buf = &mut buf;
+    let round_id = varint(buf, "round id")?;
+    let num_shards = varint(buf, "shard count")? as usize;
+    if num_shards == 0 || num_shards > 1 << 16 {
+        return Err(CollectorError::BadCheckpoint {
+            detail: "implausible shard count",
+        });
+    }
+    let tenant = varint(buf, "tenant")?;
+    let channel = match byte(buf, "channel tag")? {
+        CHANNEL_ADJACENCY => RoundChannel::Adjacency {
+            population: varint(buf, "population")? as usize,
+            p_keep: get_f64(buf).map_err(|_| bad("p_keep"))?,
+        },
+        CHANNEL_DEGREE_VECTOR => RoundChannel::DegreeVector {
+            population: varint(buf, "population")? as usize,
+            groups: varint(buf, "groups")? as usize,
+        },
+        _ => {
+            return Err(CollectorError::BadCheckpoint {
+                detail: "unknown channel tag",
+            })
+        }
+    };
+    let head = CheckpointHead {
+        round_id,
+        num_shards,
+        tenant,
+        channel,
+        quota: varint(buf, "quota")?,
+        submitted: varint(buf, "submitted count")?,
+        rejected_quota: varint(buf, "quota-rejected count")?,
+        rejected_invalid: varint(buf, "invalid-rejected count")?,
+        rejected_malformed: varint(buf, "malformed-rejected count")?,
+        closed: byte(buf, "closed flag")? != 0,
+    };
+    if !buf.is_empty() {
+        return Err(CollectorError::BadCheckpoint {
+            detail: "trailing bytes after a checkpoint marker",
+        });
+    }
     Ok(head)
 }
 
-fn bad(_field: &'static str) -> impl Fn(WireError) -> CollectorError {
-    move |_| CollectorError::BadCheckpoint {
-        detail: "malformed integer field",
-    }
+/// A truncated or malformed `field`, named in the error.
+fn bad(field: &'static str) -> CollectorError {
+    CollectorError::BadCheckpoint { detail: field }
 }
 
-fn read_u64s(buf: &mut &[u8]) -> Result<Vec<u64>, CollectorError> {
-    let len = get_varint(buf).map_err(bad("len"))? as usize;
+fn varint(buf: &mut &[u8], field: &'static str) -> Result<u64, CollectorError> {
+    get_varint(buf).map_err(|_| bad(field))
+}
+
+fn byte(buf: &mut &[u8], field: &'static str) -> Result<u8, CollectorError> {
+    let (&b, rest) = buf.split_first().ok_or(bad(field))?;
+    *buf = rest;
+    Ok(b)
+}
+
+/// A count-prefixed array of 8-byte elements; the count is checked
+/// against the bytes left before anything is allocated.
+fn read_array<T>(
+    buf: &mut &[u8],
+    field: &'static str,
+    get: fn(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<Vec<T>, CollectorError> {
+    let len = varint(buf, field)? as usize;
     if buf.len() < len.saturating_mul(8) {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "truncated word array",
-        });
+        return Err(bad(field));
     }
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
-        out.push(get_u64(buf).map_err(bad("word"))?);
-    }
-    Ok(out)
-}
-
-fn read_f64s(buf: &mut &[u8]) -> Result<Vec<f64>, CollectorError> {
-    let len = get_varint(buf).map_err(bad("len"))? as usize;
-    if buf.len() < len.saturating_mul(8) {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "truncated float array",
-        });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_f64(buf).map_err(bad("float"))?);
+        out.push(get(buf).map_err(|_| bad(field))?);
     }
     Ok(out)
 }
@@ -365,7 +312,7 @@ fn read_f64s(buf: &mut &[u8]) -> Result<Vec<f64>, CollectorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::{IngestOutcome, RoundOutcome};
+    use crate::round::{CollectorConfig, IngestOutcome, RoundOutcome};
     use ldp_graph::{BitSet, Xoshiro256pp};
     use ldp_protocols::{AdjacencyReport, UserReport};
     use rand::Rng;
@@ -389,6 +336,26 @@ mod tests {
             shards: 4,
             ..CollectorConfig::default()
         }
+    }
+
+    /// `(marker, shard records)` of one checkpoint.
+    fn snapshot(engine: &RoundCollector, round_id: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut shards = Vec::new();
+        let marker = engine
+            .checkpoint(round_id, |record| {
+                shards.push(record.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        (marker, shards)
+    }
+
+    /// Restores `(marker, shards)` into a fresh engine.
+    fn restored(marker: &[u8], shards: &[Vec<u8>]) -> Result<RoundCollector, CollectorError> {
+        let engine = RoundCollector::new(config())?;
+        let records: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        engine.restore(marker, &records)?;
+        Ok(engine)
     }
 
     #[test]
@@ -420,8 +387,8 @@ mod tests {
             panic!("adjacency outcome expected");
         };
 
-        // Interrupted run: ingest 40, checkpoint, drop, resume, finish.
-        // Opened as tenant 9 to pin that resume restores ownership.
+        // Interrupted run: ingest 40, checkpoint, drop, restore, finish.
+        // Opened as tenant 9 to pin that restore keeps ownership.
         let first = RoundCollector::new(config()).unwrap();
         first
             .open_round_as(
@@ -439,11 +406,11 @@ mod tests {
                 .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
                 .unwrap();
         }
-        let mut snapshot = Vec::new();
-        first.checkpoint(5, &mut snapshot).unwrap();
+        let (marker, shards) = snapshot(&first, 5);
+        assert_eq!(shards.len(), config().shards);
         drop(first);
 
-        let resumed = RoundCollector::resume(config(), &mut snapshot.as_slice()).unwrap();
+        let resumed = restored(&marker, &shards).unwrap();
         assert_eq!(resumed.open_round_ids(), vec![5]);
         assert_eq!(resumed.round_tenant(5).unwrap(), 9);
         // A duplicate of an already-checkpointed id is still rejected
@@ -485,14 +452,21 @@ mod tests {
                 None,
             )
             .unwrap();
+        let mut orphans = Vec::new();
         for i in 0..6u64 {
             engine
                 .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
                 .unwrap();
+            if i == 2 {
+                // An interrupted earlier checkpoint: shard records, no
+                // marker. They may precede the marker's own records.
+                orphans = snapshot(&engine, 2).1;
+                orphans.truncate(2);
+            }
         }
-        let mut snapshot = Vec::new();
-        engine.checkpoint(2, &mut snapshot).unwrap();
-        let resumed = RoundCollector::resume(config(), &mut snapshot.as_slice()).unwrap();
+        let (marker, shards) = snapshot(&engine, 2);
+        orphans.extend(shards);
+        let resumed = restored(&marker, &orphans).unwrap();
         for i in 6..9u64 {
             resumed
                 .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
@@ -512,18 +486,6 @@ mod tests {
 
     #[test]
     fn malformed_checkpoints_are_typed() {
-        // Empty, bad magic, bad version, truncated tail.
-        for bytes in [Vec::new(), b"NOPE\x01".to_vec(), {
-            let mut v = CHECKPOINT_MAGIC.to_vec();
-            v.push(99);
-            v
-        }] {
-            assert!(matches!(
-                RoundCollector::resume(config(), &mut bytes.as_slice()),
-                Err(CollectorError::BadCheckpoint { .. })
-            ));
-        }
-        // A valid checkpoint with the tail chopped off.
         let engine = RoundCollector::new(config()).unwrap();
         engine
             .open_round(
@@ -535,44 +497,65 @@ mod tests {
                 None,
             )
             .unwrap();
-        let mut snapshot = Vec::new();
-        engine.checkpoint(1, &mut snapshot).unwrap();
-        snapshot.truncate(snapshot.len() - 3);
-        assert!(matches!(
-            RoundCollector::resume(config(), &mut snapshot.as_slice()),
-            Err(CollectorError::BadCheckpoint { .. })
-        ));
-        // A genuine version-2 file — no `rejected_malformed` varint — is
-        // refused, not resumed with the counter guessed. With this
-        // degree-vector round's small values every leading field is one
-        // byte, so the counter sits exactly at offset 14 (magic ×4,
-        // version, round id, tenant, channel tag, population, groups,
-        // quota, submitted, rejected_quota, rejected_invalid precede it).
-        let engine = RoundCollector::new(config()).unwrap();
-        engine
+        let (marker, shards) = snapshot(&engine, 1);
+        let typed = |marker: &[u8], shards: &[Vec<u8>]| match restored(marker, shards) {
+            Err(CollectorError::BadCheckpoint { detail }) => detail,
+            Err(CollectorError::BadJournal { detail }) => detail,
+            other => panic!("expected a typed refusal, got {:?}", other.map(|_| ())),
+        };
+        // Empty and garbage markers; an unknown channel tag (the byte
+        // after round id, shard count and tenant).
+        assert_eq!(typed(&[], &shards), "round id");
+        assert_eq!(typed(b"\x01\x04\x00\x09", &shards), "unknown channel tag");
+        // Trailing bytes after the marker, or after a shard record.
+        let mut long = marker.clone();
+        long.push(0);
+        assert_eq!(
+            typed(&long, &shards),
+            "trailing bytes after a checkpoint marker"
+        );
+        let mut padded = shards.clone();
+        padded[2].push(0);
+        assert_eq!(
+            typed(&marker, &padded),
+            "trailing bytes after a shard record"
+        );
+        // A shard record chopped short names the array it cut into.
+        let mut short = shards.clone();
+        let len = short[3].len();
+        short[3].truncate(len - 3);
+        assert_eq!(typed(&marker, &short), "row words");
+        // Records that are not this marker's: too few, out of order.
+        assert_eq!(
+            typed(&marker, &shards[1..]),
+            "checkpoint marker without its shard records"
+        );
+        let mut swapped = shards.clone();
+        swapped.swap(0, 1);
+        assert_eq!(
+            typed(&marker, &swapped),
+            "shard record does not match its checkpoint marker"
+        );
+        // A marker from an engine with another shard count.
+        let other = RoundCollector::new(CollectorConfig {
+            shards: 3,
+            ..config()
+        })
+        .unwrap();
+        other
             .open_round(
-                2,
-                RoundChannel::DegreeVector {
-                    population: 9,
-                    groups: 2,
+                1,
+                RoundChannel::Adjacency {
+                    population: 30,
+                    p_keep: 0.8,
                 },
                 None,
             )
             .unwrap();
-        engine
-            .ingest(2, 0, UserReport::DegreeVector(vec![1.0, 0.0]))
-            .unwrap();
-        let mut v2 = Vec::new();
-        engine.checkpoint(2, &mut v2).unwrap();
-        const MALFORMED_OFFSET: usize = 14;
-        assert_eq!(v2[MALFORMED_OFFSET], 0, "layout drifted");
-        v2.remove(MALFORMED_OFFSET);
-        v2[4] = 2;
-        assert!(matches!(
-            RoundCollector::resume(config(), &mut v2.as_slice()),
-            Err(CollectorError::BadCheckpoint {
-                detail: "unsupported checkpoint version"
-            })
-        ));
+        let (other_marker, other_shards) = snapshot(&other, 1);
+        assert_eq!(
+            typed(&other_marker, &other_shards),
+            "shard geometry differs from the engine's configuration"
+        );
     }
 }

@@ -517,7 +517,8 @@ impl CollectorClient {
         }
     }
 
-    /// Asks the daemon to snapshot `round_id` into its data directory.
+    /// Asks the daemon to checkpoint `round_id` into its data-directory
+    /// journal.
     ///
     /// # Errors
     /// Daemon refusals (`CHECKPOINT_FAILED` from a daemon without a data

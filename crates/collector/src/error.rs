@@ -118,8 +118,8 @@ pub enum CollectorError {
         /// The underlying socket failure.
         error: std::io::Error,
     },
-    /// A checkpoint file is malformed or inconsistent with the engine's
-    /// configuration.
+    /// A checkpoint record is malformed or inconsistent with the engine's
+    /// configuration. A decode failure names the field.
     BadCheckpoint {
         /// What was wrong.
         detail: &'static str,

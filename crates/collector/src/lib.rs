@@ -26,10 +26,11 @@
 //!   out-of-order, multi-session arrival (OR-folds into exclusively
 //!   owned rows commute), so concurrent folds merge by row copy into a
 //!   finalize that is bit-identical however sessions interleave.
-//! * [`checkpoint`] — snapshot/resume of an in-flight round: the
-//!   snapshot quiesces concurrent sessions at a frame boundary, and a
-//!   restart mid-epoch resumes with the same duplicate set and finalizes
-//!   bit-identically to an uninterrupted run.
+//! * [`checkpoint`] — an in-flight round as journal records (one per
+//!   shard plus a marker holding the round head): the encoding quiesces
+//!   concurrent sessions at a frame boundary, and a restore resumes with
+//!   the same duplicate set and finalizes bit-identically to an
+//!   uninterrupted run.
 //! * [`metrics`] — the observability plane: pre-registered relaxed-atomic
 //!   counters/gauges/histograms over [`ldp_obs`] plus a lock-free
 //!   structured trace ring, scraped over the wire with a `STATS` frame
@@ -51,10 +52,9 @@
 //! * [`wal`] — the crash-durability plane: a daemon given a data
 //!   directory write-ahead-journals every state-changing frame (report
 //!   payloads verbatim, *before* the fold) under a configurable
-//!   [`FsyncPolicy`], coordinates checkpoint snapshots with the journal
-//!   through epoch-named markers, and on restart recovers every open
-//!   round bit-identically — a torn final record reads as a clean end of
-//!   log. Paired with the client's [`RetryPolicy`] resend window and the
+//!   [`FsyncPolicy`], keeps checkpoints as records in the same segments,
+//!   and on restart recovers every open round bit-identically — a torn
+//!   final record reads as a clean end of log. Paired with the client's [`RetryPolicy`] resend window and the
 //!   engine's duplicate-id rejection, at-least-once retry becomes
 //!   exactly-once ingest.
 //! * [`bridge`] — [`ServeScenario::serve`] /

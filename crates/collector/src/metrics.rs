@@ -102,7 +102,8 @@ pub struct CollectorMetrics {
     pub(crate) close_nanos: Arc<Histogram>,
     /// Duration of round finalizations, nanoseconds.
     pub(crate) finalize_nanos: Arc<Histogram>,
-    /// Duration of checkpoint snapshots, nanoseconds.
+    /// Duration of checkpoint encodes (round quiesced, shard records
+    /// written), nanoseconds.
     pub(crate) checkpoint_nanos: Arc<Histogram>,
     /// Priced bytes currently charged against the memory budget.
     pub(crate) memory_used_bytes: Arc<Gauge>,
@@ -116,8 +117,9 @@ pub struct CollectorMetrics {
     pub(crate) wal_replayed_frames: Arc<Counter>,
     /// Bytes appended to the write-ahead journal.
     pub(crate) wal_appended_bytes: Arc<Counter>,
-    /// Duration of journal fsync barriers, nanoseconds (empty under
-    /// `FsyncPolicy::Off`).
+    /// Duration of journal fsync barriers, nanoseconds: data syncs and the
+    /// directory sync after each new segment (under `FsyncPolicy::Off`,
+    /// only checkpoints, finalizes and segment creation sync).
     pub(crate) wal_fsync_nanos: Arc<Histogram>,
 }
 

@@ -294,7 +294,6 @@ pub(crate) enum Store {
 }
 
 pub(crate) struct OpenRound {
-    pub(crate) round_id: u64,
     pub(crate) channel: RoundChannel,
     pub(crate) quota: u64,
     /// Reports submitted so far (accepted + duplicates — duplicates are
@@ -513,7 +512,6 @@ impl RoundCollector {
                 tenant,
                 cost,
                 inner: RwLock::new(Some(OpenRound {
-                    round_id,
                     channel,
                     quota: quota.unwrap_or(n as u64),
                     submitted: AtomicU64::new(0),
@@ -1192,6 +1190,50 @@ mod tests {
         // one frame (N²/8 matrix bytes + ≤11 per-user degree bytes).
         let n = RoundCollector::WIRE_VIEW_CAP as u64;
         assert!(n * n / 8 + 11 * n + 32 <= ldp_protocols::wire::MAX_FRAME_LEN as u64);
+    }
+
+    #[test]
+    fn the_largest_checkpoint_shard_record_fits_the_wire_frame() {
+        // A checkpoint journals one record per shard, so the largest is a
+        // whole round in one shard at the biggest admissible geometry.
+        // Upper bound on its payload: four varints, three count-prefixed
+        // arrays of 8-byte elements, every varint at its 10-byte worst.
+        let record_len = |seen_words: usize, floats: usize, row_words: usize| {
+            7 * 10 + 8 * (seen_words + floats + row_words)
+        };
+        let adjacency = |n: usize| {
+            record_len(
+                n.div_ceil(64),
+                n,
+                (0..n).map(crate::shard::owned_words).sum(),
+            )
+        };
+        // The bound is honest: a real one-shard encoding sits just under it.
+        let engine = RoundCollector::new(CollectorConfig {
+            shards: 1,
+            ..CollectorConfig::default()
+        })
+        .unwrap();
+        engine.open_round(1, adjacency_channel(300), None).unwrap();
+        let mut lens = Vec::new();
+        engine
+            .checkpoint(1, |record| {
+                lens.push(record.len());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(lens.len(), 1);
+        assert!(lens[0] <= adjacency(300) && adjacency(300) - lens[0] <= 70);
+        // Frame = kind byte + payload.
+        let max = ldp_protocols::wire::MAX_FRAME_LEN - 1;
+        assert!(adjacency(RoundCollector::WIRE_VIEW_CAP) <= max);
+        let defaults = CollectorConfig::default();
+        let degree_vector = record_len(
+            defaults.max_degree_vector_population.div_ceil(64),
+            defaults.max_groups,
+            0,
+        );
+        assert!(degree_vector <= max);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | `OPEN` `0x01` | c→s | round id, tenant, channel tag + params, quota (varints/f64) |
 //! | `CLOSE` `0x03` | c→s | round id |
 //! | `FINALIZE` `0x04` | c→s | round id |
-//! | `CHECKPOINT` `0x05` | c→s | round id (snapshots that round into the data dir; refused with `CHECKPOINT_FAILED` on a daemon started without `--data-dir`) |
+//! | `CHECKPOINT` `0x05` | c→s | round id (checkpoints that round into the data-dir journal; refused with `CHECKPOINT_FAILED` on a daemon started without `--data-dir`) |
 //! | `SHUTDOWN` `0x06` | c→s | empty; stops the accept loop |
 //! | `REPORT_BATCH` `0x07` | c→s | round id + varint count + length-prefixed reports (no ack) |
 //! | `SYNC` `0x08` | c→s | empty; acked once every prior frame of this session is ingested |
@@ -116,7 +116,7 @@ pub mod codes {
     /// Malformed frame or parameter.
     pub const BAD_FRAME: u8 = 6;
     /// Checkpointing failed: the daemon has no data dir (`CHECKPOINT`
-    /// needs one), or the snapshot or its journal marker failed to write.
+    /// needs one), or its journal records failed to write.
     pub const CHECKPOINT_FAILED: u8 = 7;
     /// Anything else.
     pub const INTERNAL: u8 = 8;
@@ -202,11 +202,11 @@ impl CollectorServer {
     /// Turns on the crash-durability plane: every state-changing frame is
     /// write-ahead-journaled into `dir` under `policy` before it is acted
     /// on, and this call **recovers** whatever rounds a previous
-    /// incarnation left there — checkpoint snapshots first, then the
-    /// journal tail, rebuilding each open round bit-identically (see
-    /// [`crate::wal`]). Read what was rebuilt via [`Self::recovery`].
-    /// `CHECKPOINT` frames snapshot into `dir` under the journal's epoch
-    /// protocol; a daemon without a data dir refuses them.
+    /// incarnation left there — checkpoints first, then the journal tail,
+    /// rebuilding each open round bit-identically (see [`crate::wal`]).
+    /// Read what was rebuilt via [`Self::recovery`]. A `CHECKPOINT` frame
+    /// appends the round's snapshot and marker records to the journal; a
+    /// daemon without a data dir refuses it.
     ///
     /// # Errors
     /// I/O failures on `dir`, and [`CollectorError::BadJournal`] /

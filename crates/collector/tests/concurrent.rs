@@ -256,7 +256,7 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     let (proto, reports) = honest_reports(n, 55);
     let reference = proto.aggregate(&reports);
 
-    let dir = std::env::temp_dir().join(format!("ldpk-concurrent-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ldp-concurrent-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = CollectorConfig {
         shards: 4,

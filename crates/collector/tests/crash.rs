@@ -17,15 +17,17 @@
 //! * the daemon's scrape surface shows the recovery
 //!   (`recovered_rounds`, `wal_replayed_frames`).
 //!
-//! Beside the randomized schedules, one fixed schedule kills the daemon
-//! after a checkpoint → close → finalize → reopen sequence on one round
-//! id, pinning that a finalized round stays gone across the restart.
+//! Beside the randomized schedules, fixed schedules pin the checkpoint
+//! paths: a kill after a checkpoint → close → finalize → reopen sequence
+//! on one round id (the finalized round stays gone), a torn write inside
+//! a live `CHECKPOINT`'s shard records, and a torn write inside startup
+//! compaction's second round (both recovered rounds survive).
 //!
 //! Schedule directories are removed on success and kept on failure — CI
 //! uploads `target/crash-test/` as the post-mortem artifact.
 
 use ldp_collector::{CollectorClient, RetryPolicy, RetryingClient, RoundChannel};
-use ldp_protocols::wire::StatsValue;
+use ldp_protocols::wire::{self, journal, StatsValue};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::net::TcpListener;
@@ -129,6 +131,44 @@ fn spawn_daemon(dir: &Path, port: u16, kill_after: Option<u64>) -> Child {
         std::thread::sleep(Duration::from_millis(20));
     }
     panic!("ldp-collectord never came up on 127.0.0.1:{port}");
+}
+
+/// Starts the daemon armed with the torn-write hook at `kill_after`
+/// bytes, expecting it to abort before it ever prints `ADDR` (the hook
+/// fires during startup compaction); returns its exit status.
+/// [`spawn_daemon`] would retry such a death, so this gives it exactly
+/// one shot.
+fn run_until_abort(dir: &Path, port: u16, kill_after: u64) -> std::process::ExitStatus {
+    Command::new(env!("CARGO_BIN_EXE_ldp-collectord"))
+        .arg("--addr")
+        .arg(format!("127.0.0.1:{port}"))
+        .arg("--data-dir")
+        .arg(dir)
+        .arg("--shards")
+        .arg(SHARDS.to_string())
+        .env("LDP_WAL_KILL_AFTER_BYTES", kill_after.to_string())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run the doomed incarnation")
+}
+
+/// The newest journal segment's records in order, as `(kind, framed
+/// length)` — where a byte threshold for the torn-write hook will land.
+fn newest_segment_records(dir: &Path) -> Vec<(u8, u64)> {
+    let newest = std::fs::read_dir(dir)
+        .expect("read data dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ldpw"))
+        .max()
+        .expect("a journal segment");
+    let bytes = std::fs::read(newest).expect("read segment");
+    let (mut frames, mut payload) = (&bytes[5..], Vec::new());
+    let mut records = Vec::new();
+    while let Some(kind) = wire::read_frame(&mut frames, &mut payload).expect("intact segment") {
+        records.push((kind, 5 + payload.len() as u64));
+    }
+    records
 }
 
 fn counter(stats: &[ldp_protocols::wire::StatsEntry], name: &str) -> Option<u64> {
@@ -268,7 +308,7 @@ fn sigkill_schedules_finalize_bit_identically() {
 }
 
 /// A daemon that dies while *recovering* (torn hook armed so tightly it
-/// fires during startup compaction's checkpoint marker) must still come
+/// fires on startup compaction's first checkpoint record) must still come
 /// back on the next, unarmed restart — recovery itself is crash-safe.
 #[test]
 fn a_crash_during_recovery_is_recoverable() {
@@ -297,23 +337,10 @@ fn a_crash_during_recovery_is_recoverable() {
     client.barrier().expect("barrier");
     daemon.kill().expect("SIGKILL");
     daemon.wait().expect("reap");
-    // Threshold 1: startup compaction's own checkpoint-marker append
-    // crosses it, so this incarnation aborts mid-recovery before it ever
-    // prints ADDR. spawn_daemon would retry such a death; spawn by hand
-    // to give it exactly one shot.
-    let mut command = Command::new(env!("CARGO_BIN_EXE_ldp-collectord"));
-    command
-        .arg("--addr")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--data-dir")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(SHARDS.to_string())
-        .env("LDP_WAL_KILL_AFTER_BYTES", "1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    let mut dying = command.spawn().expect("spawn the doomed incarnation");
-    let status = dying.wait().expect("the doomed incarnation exits");
+    // Threshold 1: startup compaction's first checkpoint record crosses
+    // it, so this incarnation aborts mid-recovery before it ever prints
+    // ADDR.
+    let status = run_until_abort(&dir, port, 1);
     assert!(!status.success(), "the armed daemon must abort in recovery");
     // The unarmed restart recovers everything the barrier made durable.
     let mut daemon = spawn_daemon(&dir, port, None);
@@ -404,4 +431,193 @@ fn checkpoint_then_finalize_schedule_keeps_the_finalized_round_gone() {
     client.shutdown().expect("shutdown");
     daemon.wait().expect("reap the final daemon");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resends the whole population to `round` over `client` (the first
+/// `sent` users are duplicates by now), closes and finalizes it, and
+/// checks the round reconciles to `reference` bit for bit.
+fn finish_round(client: &mut CollectorClient, round: u64, sent: u64, reference: &(Vec<f64>, u64)) {
+    client.set_round(round).expect("set round");
+    for user in 0..POPULATION as u64 {
+        client
+            .queue_degree_vector(user, &vector(user))
+            .expect("queue");
+    }
+    let summary = client.close_round(round).expect("close");
+    assert_eq!(
+        summary.counters.accepted, POPULATION as u64,
+        "round {round}"
+    );
+    assert_eq!(summary.counters.rejected_duplicate, sent, "round {round}");
+    assert_eq!(summary.counters.rejected_quota, 0, "round {round}");
+    assert_eq!(summary.counters.rejected_invalid, 0, "round {round}");
+    assert_eq!(summary.counters.rejected_malformed, 0, "round {round}");
+    let finalized = client.finalize_degree_vector(round).expect("finalize");
+    assert_eq!(
+        &(finalized.group_totals, finalized.accepted),
+        reference,
+        "round {round} must finalize bit-identically"
+    );
+}
+
+/// A torn write inside a live `CHECKPOINT`'s shard records: the first
+/// shard record is complete, the second torn, the marker never written.
+/// The orphaned shard record must carry no state — the restart recovers
+/// from startup compaction's checkpoint and the round, finished after it,
+/// finalizes bit-identically to the fault-free reference.
+#[test]
+fn a_torn_live_checkpoint_finalizes_bit_identically() {
+    let reference = run_schedule("live-checkpoint-reference", &BTreeMap::new());
+    let dir = crash_root().join("live-checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create schedule dir");
+    let port = free_port();
+    let addr = format!("127.0.0.1:{port}");
+    let half = POPULATION as u64 / 2;
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("connect");
+    client
+        .open_round(
+            ROUND,
+            RoundChannel::DegreeVector {
+                population: POPULATION,
+                groups: GROUPS,
+            },
+            Some(4 * POPULATION as u64),
+        )
+        .expect("open");
+    for user in 0..half {
+        client
+            .queue_degree_vector(user, &vector(user))
+            .expect("queue");
+    }
+    client.sync().expect("barrier");
+    // Measure a checkpoint of exactly the state the restart will compact.
+    let before = newest_segment_records(&dir).len();
+    client.checkpoint(ROUND).expect("measuring checkpoint");
+    let checkpoint = newest_segment_records(&dir).split_off(before);
+    let kinds: Vec<u8> = checkpoint.iter().map(|&(kind, _)| kind).collect();
+    let mut expected = vec![journal::REC_SNAPSHOT; SHARDS];
+    expected.push(journal::REC_CHECKPOINT);
+    assert_eq!(
+        kinds, expected,
+        "a checkpoint is its shard records, then the marker"
+    );
+    let checkpoint_bytes: u64 = checkpoint.iter().map(|&(_, len)| len).sum();
+    drop(client);
+    daemon.kill().expect("SIGKILL");
+    daemon.wait().expect("reap");
+
+    // Startup compaction writes `checkpoint_bytes`; the hook then fires
+    // 7 bytes into the live checkpoint's second shard record.
+    let threshold = checkpoint_bytes + checkpoint[0].1 + 7;
+    let mut armed = spawn_daemon(&dir, port, Some(threshold));
+    let mut client = CollectorClient::connect(addr.as_str()).expect("connect to the armed daemon");
+    assert!(
+        client.checkpoint(ROUND).is_err(),
+        "the armed daemon must die inside the live checkpoint"
+    );
+    drop(client);
+    let status = armed.wait().expect("reap the armed daemon");
+    assert!(!status.success(), "the armed daemon must abort");
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("reconnect");
+    let stats = client.stats().expect("scrape the restarted daemon");
+    assert_eq!(counter(&stats, "recovered_rounds"), Some(1));
+    finish_round(&mut client, ROUND, half, &reference);
+    client.shutdown().expect("shutdown");
+    daemon.wait().expect("reap the final daemon");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two open rounds, a SIGKILL, and a restart armed to die inside startup
+/// compaction's *second* round — after the first round's checkpoint is
+/// complete. The old segments must survive until every recovered round is
+/// checkpointed again: the next restart recovers both rounds, and each
+/// finalizes bit-identically to the fault-free reference.
+#[test]
+fn a_crash_inside_the_second_rounds_compaction_keeps_both_rounds() {
+    let reference = run_schedule("two-round-compaction-reference", &BTreeMap::new());
+    let dir = crash_root().join("two-round-compaction");
+    let probe = crash_root().join("two-round-compaction-probe");
+    for d in [&dir, &probe] {
+        let _ = std::fs::remove_dir_all(d);
+        std::fs::create_dir_all(d).expect("create schedule dir");
+    }
+    let port = free_port();
+    let addr = format!("127.0.0.1:{port}");
+    let rounds = [
+        (ROUND, POPULATION as u64 / 2),
+        (ROUND + 1, POPULATION as u64 / 4),
+    ];
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("connect");
+    for &(round, sent) in &rounds {
+        client
+            .open_round(
+                round,
+                RoundChannel::DegreeVector {
+                    population: POPULATION,
+                    groups: GROUPS,
+                },
+                Some(4 * POPULATION as u64),
+            )
+            .expect("open");
+        for user in 0..sent {
+            client
+                .queue_degree_vector(user, &vector(user))
+                .expect("queue");
+        }
+    }
+    client.sync().expect("barrier");
+    drop(client);
+    daemon.kill().expect("SIGKILL");
+    daemon.wait().expect("reap");
+
+    // Learn where the first round's compaction ends by restarting a copy
+    // of the directory: its new segment starts with that round's
+    // checkpoint, ending at the first marker.
+    for entry in std::fs::read_dir(&dir).expect("read data dir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), probe.join(entry.file_name())).expect("copy segment");
+    }
+    let probe_port = free_port();
+    let mut prober = spawn_daemon(&probe, probe_port, None);
+    CollectorClient::connect(("127.0.0.1", probe_port))
+        .expect("connect to the probe")
+        .shutdown()
+        .expect("shut the probe down");
+    prober.wait().expect("reap the probe");
+    let records = newest_segment_records(&probe);
+    let first_marker = records
+        .iter()
+        .position(|&(kind, _)| kind == journal::REC_CHECKPOINT)
+        .expect("compaction wrote a checkpoint marker");
+    let first_round_bytes: u64 = records[..=first_marker].iter().map(|&(_, len)| len).sum();
+
+    // 3 bytes into the second round's first record: no record is shorter.
+    let status = run_until_abort(&dir, port, first_round_bytes + 3);
+    assert!(
+        !status.success(),
+        "the armed daemon must abort in compaction"
+    );
+
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = CollectorClient::connect(addr.as_str()).expect("reconnect");
+    let stats = client.stats().expect("scrape the restarted daemon");
+    assert_eq!(
+        counter(&stats, "recovered_rounds"),
+        Some(2),
+        "both open rounds must survive a crash mid-compaction"
+    );
+    for &(round, sent) in &rounds {
+        finish_round(&mut client, round, sent, &reference);
+    }
+    client.shutdown().expect("shutdown");
+    daemon.wait().expect("reap the final daemon");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&probe);
 }

@@ -1,7 +1,7 @@
 //! Determinism and panic-freedom pins for the invariants `ldp-lint`
-//! enforces statically (DESIGN.md §9): checkpoint bytes are
+//! enforces statically (DESIGN.md §9): checkpoint record bytes are
 //! schedule-independent, registry enumeration is ordered however rounds
-//! were opened, and the typed-error conversions on the finalize/resume
+//! were opened, and the typed-error conversions on the finalize/restore
 //! paths behave — a failed finalize leaves the round fully usable, and
 //! malformed inputs surface as typed errors, never panics.
 
@@ -41,9 +41,23 @@ fn adjacency(n: usize) -> RoundChannel {
     }
 }
 
+/// The round's checkpoint records: its shard records in shard order, then
+/// the marker.
+fn checkpoint_records(engine: &RoundCollector, round_id: u64) -> Vec<Vec<u8>> {
+    let mut records = Vec::new();
+    let marker = engine
+        .checkpoint(round_id, |shard| {
+            records.push(shard.to_vec());
+            Ok(())
+        })
+        .unwrap();
+    records.push(marker);
+    records
+}
+
 /// Ingests `reports` into a fresh round in the order given by `order` and
-/// returns the round's checkpoint bytes.
-fn checkpoint_after(order: &[usize], reports: &[AdjacencyReport]) -> Vec<u8> {
+/// returns the round's checkpoint records.
+fn checkpoint_after(order: &[usize], reports: &[AdjacencyReport]) -> Vec<Vec<u8>> {
     let engine = RoundCollector::new(config()).unwrap();
     engine
         .open_round(7, adjacency(reports.len()), None)
@@ -56,15 +70,13 @@ fn checkpoint_after(order: &[usize], reports: &[AdjacencyReport]) -> Vec<u8> {
             IngestOutcome::Queued
         );
     }
-    let mut snapshot = Vec::new();
-    engine.checkpoint(7, &mut snapshot).unwrap();
-    snapshot
+    checkpoint_records(&engine, 7)
 }
 
-/// The `LDPK` bytes of a round must not depend on the order reports
+/// The checkpoint records of a round must not depend on the order reports
 /// arrived: ascending, descending, and an interleaved shuffle all fold to
-/// the same shard state, so the serialized checkpoints are identical byte
-/// for byte.
+/// the same shard state, so the shard records and the marker are
+/// identical byte for byte.
 #[test]
 fn checkpoint_bytes_are_ingest_order_independent() {
     let n = 70;
@@ -117,9 +129,11 @@ fn checkpoint_bytes_survive_a_concurrent_schedule() {
         for t in threads {
             t.join().unwrap();
         }
-        let mut snapshot = Vec::new();
-        engine.checkpoint(7, &mut snapshot).unwrap();
-        assert_eq!(snapshot, sequential, "trial {trial} diverged");
+        assert_eq!(
+            checkpoint_records(&engine, 7),
+            sequential,
+            "trial {trial} diverged"
+        );
     }
 }
 
@@ -210,9 +224,10 @@ fn invalid_keep_probability_is_refused_at_open() {
     assert!(engine.open_round_ids().is_empty());
 }
 
-/// Regression for the resume conversion (`expect("round just opened")` →
-/// typed path): a checkpoint whose shard payload disagrees with its own
-/// recorded geometry is a typed `BadCheckpoint`, never a panic.
+/// Regression for the restore conversion (`expect("round just opened")`
+/// → typed path): a checkpoint whose shard records disagree with their
+/// marker's geometry is a typed `BadCheckpoint` or `BadJournal`, never a
+/// panic.
 #[test]
 fn geometry_mismatched_checkpoint_is_typed() {
     let engine = RoundCollector::new(config()).unwrap();
@@ -222,32 +237,43 @@ fn geometry_mismatched_checkpoint_is_typed() {
             .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
             .unwrap();
     }
-    let mut snapshot = Vec::new();
-    engine.checkpoint(5, &mut snapshot).unwrap();
+    let records = checkpoint_records(&engine, 5);
 
-    // Flip every byte position in turn; resume must always be total. (The
-    // population/shard fields live near the head, so this sweeps geometry
-    // mismatches as well as payload corruption.)
-    for pos in 0..snapshot.len().min(64) {
-        let mut bad = snapshot.clone();
-        bad[pos] ^= 0xFF;
-        match RoundCollector::resume(config(), &mut bad.as_slice()) {
-            Ok(resumed) => {
-                // Some flips only touch counters and still parse; the
-                // engine must still be in a coherent, usable state.
-                let _ = resumed.open_round_ids();
-            }
-            Err(e) => assert!(
-                matches!(
-                    e,
-                    CollectorError::BadCheckpoint { .. }
-                        | CollectorError::InvalidConfig { .. }
-                        | CollectorError::PopulationCap { .. }
-                        | CollectorError::GroupCap { .. }
-                        | CollectorError::RoundAlreadyOpen { .. }
+    // Flip every byte position of the marker, and the first 64 of each
+    // shard record, in turn; restore must always be total. (The
+    // population/shard fields live in the marker and at the head of each
+    // record, so this sweeps geometry mismatches as well as payload
+    // corruption.)
+    for (index, record) in records.iter().enumerate() {
+        let span = if index + 1 == records.len() {
+            record.len()
+        } else {
+            record.len().min(64)
+        };
+        for pos in 0..span {
+            let mut bad = records.clone();
+            bad[index][pos] ^= 0xFF;
+            let (marker, shards) = bad.split_last().unwrap();
+            let shards: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+            let restored = RoundCollector::new(config()).unwrap();
+            match restored.restore(marker, &shards) {
+                Ok(_) => {
+                    // Some flips only touch counters and still parse; the
+                    // engine must still be in a coherent, usable state.
+                    let _ = restored.open_round_ids();
+                }
+                Err(e) => assert!(
+                    matches!(
+                        e,
+                        CollectorError::BadCheckpoint { .. }
+                            | CollectorError::BadJournal { .. }
+                            | CollectorError::InvalidConfig { .. }
+                            | CollectorError::PopulationCap { .. }
+                            | CollectorError::GroupCap { .. }
+                    ),
+                    "record {index} byte {pos}: unexpected error {e:?}"
                 ),
-                "byte {pos}: unexpected error {e:?}"
-            ),
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Durability-plane integration tests, in-process where every byte
 //! offset and every fault point can be swept exhaustively:
 //!
-//! * torn-tail truncation matrices over checkpoint snapshots (every cut
+//! * torn-tail truncation matrices over checkpoint records (every cut
 //!   must be a typed refusal) and journal segments (every cut must be a
 //!   typed refusal or a clean-EOF prefix recovery — never a panic);
 //! * the retrying client riding severed connections and daemon restarts
@@ -17,7 +17,7 @@ use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RetryPolicy,
     RetryingClient, RoundChannel, RoundCollector,
 };
-use ldp_protocols::wire::StatsValue;
+use ldp_protocols::wire::{self, journal, StatsValue};
 use ldp_protocols::UserReport;
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -107,13 +107,26 @@ fn fault_free_reference(population: usize) -> (Vec<f64>, u64) {
     (finalized.group_totals, finalized.accepted)
 }
 
+/// Asserts that `dir` holds journal segments and nothing else.
+fn assert_only_segments(dir: &Path) {
+    for entry in std::fs::read_dir(dir).expect("read data dir") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        assert!(
+            name.starts_with("wal-") && name.ends_with(".ldpw"),
+            "non-segment file {name:?} in the data dir"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Torn-tail truncation matrices
 // ---------------------------------------------------------------------------
 
-/// Every strict prefix of a checkpoint snapshot must refuse with a typed
-/// error — resuming half a round silently would be worse than crashing,
-/// and panicking on operator-supplied bytes is forbidden outright.
+/// Every strict prefix of a checkpoint record — the marker or any shard
+/// record — must refuse with a typed error: restoring half a round
+/// silently would be worse than crashing, and panicking on
+/// operator-supplied bytes is forbidden outright.
 #[test]
 fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
     let population = 24usize;
@@ -127,35 +140,60 @@ fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
             .expect("ingest");
         assert_eq!(outcome, ldp_collector::IngestOutcome::Queued);
     }
-    let mut snapshot = Vec::new();
-    engine.checkpoint(ROUND, &mut snapshot).expect("snapshot");
-    let resumed = RoundCollector::resume(config(), &mut snapshot.as_slice())
-        .expect("the untruncated snapshot must resume");
+    let mut records = Vec::new();
+    let marker = engine
+        .checkpoint(ROUND, |shard| {
+            records.push(shard.to_vec());
+            Ok(())
+        })
+        .expect("checkpoint");
+    records.push(marker);
+    let restore = |records: &[Vec<u8>]| {
+        let (marker, shards) = records.split_last().expect("a marker");
+        let shards: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        let restored = RoundCollector::new(config()).expect("engine");
+        restored.restore(marker, &shards).map(|_| restored)
+    };
+    let resumed = restore(&records).expect("the untruncated checkpoint must restore");
     assert_eq!(
         resumed.counters(ROUND).expect("counters").accepted,
         population as u64
     );
-    for cut in 0..snapshot.len() {
-        match RoundCollector::resume(config(), &mut &snapshot[..cut]) {
-            Ok(_) => panic!(
-                "a {cut}-byte prefix of a {}-byte snapshot resumed cleanly",
-                snapshot.len()
-            ),
-            Err(CollectorError::BadCheckpoint { .. })
-            | Err(CollectorError::Wire(_))
-            | Err(CollectorError::Io(_)) => {}
-            Err(other) => panic!("cut at {cut}: expected a parse-class error, got {other}"),
+    for index in 0..records.len() {
+        for cut in 0..records[index].len() {
+            let mut torn = records.clone();
+            torn[index].truncate(cut);
+            match restore(&torn) {
+                Ok(_) => panic!(
+                    "a {cut}-byte prefix of the {}-byte record {index} restored cleanly",
+                    records[index].len()
+                ),
+                Err(CollectorError::BadCheckpoint { .. }) => {}
+                Err(other) => {
+                    panic!("record {index} cut at {cut}: expected a parse-class error, got {other}")
+                }
+            }
         }
     }
+    // The refusal names the field the cut landed in: the marker's last
+    // byte is its `closed` flag.
+    let mut torn = records.clone();
+    torn.last_mut().expect("marker").pop();
+    assert!(matches!(
+        restore(&torn),
+        Err(CollectorError::BadCheckpoint {
+            detail: "closed flag"
+        })
+    ));
 }
 
 /// Every prefix of a journal segment — cutting through record frames,
-/// the checkpoint marker, and the segment header alike — must either
-/// recover a consistent prefix of the round (torn tail = clean end of
-/// log) or refuse typed. The source directory is produced by a real
-/// durable daemon, so the bytes under the knife are exactly what
-/// production writes: OPEN + report batches + a checkpoint marker + a
-/// post-marker tail of journaled duplicates.
+/// the checkpoint's shard records and marker, and the segment header
+/// alike — must either recover a consistent prefix of the round (torn
+/// tail = clean end of log) or refuse typed. The source directory is
+/// produced by a real durable daemon, so the bytes under the knife are
+/// exactly what production writes: OPEN + report batches + a checkpoint
+/// (shard records + marker) + a post-marker tail of journaled duplicates.
 #[test]
 fn wal_segment_truncated_at_every_offset_recovers_or_refuses() {
     let population = 16usize;
@@ -183,34 +221,31 @@ fn wal_segment_truncated_at_every_offset_recovers_or_refuses() {
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");
 
-    // Collect the directory: exactly one journal segment (nothing
-    // rotated) plus the round's snapshot file(s) from the marker.
-    let mut segment: Option<(std::ffi::OsString, Vec<u8>)> = None;
-    let mut side_files: Vec<(std::ffi::OsString, Vec<u8>)> = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("read data dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name();
-        let bytes = std::fs::read(entry.path()).expect("read file");
-        if name.to_string_lossy().ends_with(".ldpw") {
-            assert!(segment.is_none(), "expected a single journal segment");
-            segment = Some((name, bytes));
-        } else {
-            side_files.push((name, bytes));
-        }
+    // The directory is exactly one journal segment (nothing rotated), and
+    // the checkpoint lives inside it.
+    assert_only_segments(&dir);
+    let mut entries: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read data dir")
+        .map(|entry| entry.expect("dir entry"))
+        .collect();
+    assert_eq!(entries.len(), 1, "expected a single journal segment");
+    let entry = entries.pop().expect("a journal segment must exist");
+    let segment_name = entry.file_name();
+    let segment_bytes = std::fs::read(entry.path()).expect("read segment");
+    let mut kinds = Vec::new();
+    let (mut frames, mut payload) = (&segment_bytes[5..], Vec::new());
+    while let Some(kind) = wire::read_frame(&mut frames, &mut payload).expect("intact segment") {
+        kinds.push(kind);
     }
-    let (segment_name, segment_bytes) = segment.expect("a journal segment must exist");
     assert!(
-        !side_files.is_empty(),
-        "the checkpoint marker must have written a snapshot file"
+        kinds.contains(&journal::REC_SNAPSHOT) && kinds.contains(&journal::REC_CHECKPOINT),
+        "the checkpoint must have written its records into the segment: {kinds:?}"
     );
 
     let sweep_root = scratch_dir("wal-sweep");
     for cut in 0..=segment_bytes.len() {
         let case_dir = sweep_root.join(format!("cut-{cut}"));
         std::fs::create_dir_all(&case_dir).expect("case dir");
-        for (name, bytes) in &side_files {
-            std::fs::write(case_dir.join(name), bytes).expect("copy side file");
-        }
         std::fs::write(case_dir.join(&segment_name), &segment_bytes[..cut])
             .expect("write truncated segment");
         let engine = RoundCollector::new(config()).expect("fresh engine");
@@ -267,8 +302,8 @@ fn durable_round(dir: &Path, population: usize, checkpoint: bool) -> (Vec<f64>, 
     (finalized.group_totals, finalized.accepted)
 }
 
-/// Finalize deletes a round's snapshot but leaves its checkpoint marker
-/// in the journal. A restart must still recover — with nothing open, so
+/// Finalize leaves a round's checkpoint records in the journal until the
+/// next prune. A restart must still recover — with nothing open, so
 /// the same id opens again and finalizes to the fault-free totals.
 #[test]
 fn checkpoint_finalize_restart_recovers() {
@@ -276,7 +311,9 @@ fn checkpoint_finalize_restart_recovers() {
     let reference = fault_free_reference(population);
     let dir = scratch_dir("checkpoint-finalize");
     assert_eq!(durable_round(&dir, population, true), reference);
+    assert_only_segments(&dir);
     assert_eq!(durable_round(&dir, population, false), reference);
+    assert_only_segments(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

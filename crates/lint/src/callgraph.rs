@@ -145,7 +145,7 @@ fn resolve_qualified(
         // `Trait::method(x)` UFCS: any implementor.
         return candidates(sym, name, |id| sym.fns[id].owner.is_some());
     }
-    // Module-style path (`wire::decode_view`, `checkpoint::resume`): the
+    // Module-style path (`wire::decode_view`, `checkpoint::restore`): the
     // final segment names a free function.
     resolve_free(sym, name)
 }

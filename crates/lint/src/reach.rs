@@ -51,7 +51,10 @@ fn is_seed(def: &FnDef, rel: &str) -> bool {
         return def.name.starts_with("decode_") || def.name.starts_with("read_");
     }
     if rel.ends_with("collector/src/checkpoint.rs") {
-        return def.name == "resume" || def.name == "checkpoint";
+        return def.name == "restore" || def.name == "checkpoint";
+    }
+    if rel.ends_with("collector/src/wal.rs") {
+        return def.name == "read_segments";
     }
     false
 }

@@ -45,6 +45,7 @@ const DETERMINISTIC_PREFIXES: &[&str] = &[
 const ALLOC_CAP_FILES: &[&str] = &[
     "crates/protocols/src/wire.rs",
     "crates/collector/src/checkpoint.rs",
+    "crates/collector/src/wal.rs",
 ];
 
 const WIRE_FILE: &str = "crates/protocols/src/wire.rs";
@@ -908,7 +909,7 @@ fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
 }
 
 /// Function-name prefixes that mark untrusted-input decode paths.
-const DECODE_FN_PREFIXES: &[&str] = &["decode", "read", "get", "resume", "parse"];
+const DECODE_FN_PREFIXES: &[&str] = &["decode", "read", "get", "restore", "parse"];
 
 /// Allocation calls that must be preceded (in the same function) by a length
 /// proof: a `MAX_*` constant, `checked_len`, `split_at_checked`, or a

@@ -154,8 +154,10 @@ pub mod frames {
 pub mod journal {
     /// Magic bytes opening a WAL segment file.
     pub const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
-    /// Journal format version.
-    pub const SEGMENT_VERSION: u8 = 1;
+    /// Journal format version (2: checkpoints are `REC_SNAPSHOT` records
+    /// followed by a head-carrying `REC_CHECKPOINT` marker; version 1
+    /// kept snapshots in side files and is refused).
+    pub const SEGMENT_VERSION: u8 = 2;
     /// A round was opened; payload = the `OPEN` frame payload verbatim.
     pub const REC_OPEN: u8 = 0x01;
     // 0x02 held one singleton `REPORT` payload until wire v3 retired that
@@ -168,10 +170,23 @@ pub mod journal {
     /// The named round finalized (left the registry); payload = round id
     /// varint.
     pub const REC_FINALIZE: u8 = 0x05;
-    /// The named round's state through this point is captured by its
-    /// checkpoint file — replay discards the round's earlier records and
-    /// reloads the snapshot instead; payload = round id varint.
+    /// Checkpoint marker: the named round's state through this point is
+    /// captured by this record and the `shards` [`REC_SNAPSHOT`] records
+    /// just before it — replay discards the round's earlier records and
+    /// restores from them instead. Payload = round id varint, shard count
+    /// varint, tenant varint, channel tag byte (0 adjacency: population
+    /// varint, `p_keep` `f64`; 1 degree vector: population varint, groups
+    /// varint), quota varint, the submitted / quota-rejected /
+    /// invalid-rejected / malformed-rejected counter varints, and a
+    /// `closed` byte.
     pub const REC_CHECKPOINT: u8 = 0x06;
+    /// One shard of a checkpoint; inert unless its marker follows.
+    /// Payload = round id varint, shard index varint, accepted varint,
+    /// duplicates varint, then three arrays, each a count varint followed
+    /// by 8-byte little-endian elements: the seen-bitmap words, the
+    /// degrees (adjacency) or group sums (degree vector) as `f64`, and the
+    /// packed lower-triangle row words (empty for degree vectors).
+    pub const REC_SNAPSHOT: u8 = 0x07;
 }
 
 /// Typed decode/transport failures. Every malformed input maps to one of
