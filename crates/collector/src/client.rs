@@ -34,6 +34,25 @@
 //! first, so a batch frame is always homogeneous in its round. Rounds
 //! are owned by a tenant ([`CollectorClient::with_tenant`], default 0)
 //! for the daemon's per-tenant admission quotas.
+//!
+//! ## Retry
+//!
+//! [`CollectorClient::with_retry`] sets a [`RetryPolicy`]. A
+//! transport-class failure (a socket error, or a stream that died
+//! mid-frame) then drops the connection, backs off (exponential, with
+//! seeded jitter), reconnects to the addresses resolved at
+//! [`CollectorClient::connect`] and runs the operation again, up to
+//! [`RetryPolicy::max_attempts`]. Every `REPORT_BATCH` frame written
+//! since the last acknowledged [`CollectorClient::sync`] is kept
+//! verbatim, round id included, and written back down each new
+//! connection first — a resent report lands in the round it was sent
+//! to. The daemon's duplicate-id rejection (rebuilt from its journal
+//! after a crash) discards the copies it already folded, so
+//! at-least-once resend is exactly-once ingest; resent duplicates still
+//! charge the round's quota and count as `rejected_duplicate`. The
+//! window holds at most [`RetryPolicy::resend_window`] reports: reaching
+//! it forces a `sync`. Without a policy nothing is kept and every call
+//! runs once.
 
 use crate::error::CollectorError;
 use crate::round::{RoundChannel, RoundCounters};
@@ -44,7 +63,7 @@ use ldp_protocols::wire::{
 };
 use ldp_protocols::{AdjacencyReport, PerturbedView, UserReport};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -76,10 +95,13 @@ pub struct DegreeVectorSummary {
     pub accepted: u64,
 }
 
-/// A connection to the collection daemon.
+/// A connection to the collection daemon — reconnecting under a
+/// [`RetryPolicy`] when one is set (see the module docs).
 pub struct CollectorClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The daemon's resolved addresses, dialled again on reconnect.
+    addrs: Vec<SocketAddr>,
     payload: Vec<u8>,
     /// Accumulated length-prefixed batch entries awaiting one
     /// `REPORT_BATCH` frame.
@@ -90,6 +112,10 @@ pub struct CollectorClient {
     round: u64,
     /// Tenant stamped into `OPEN` frames (admission quotas key on it).
     tenant: u64,
+    /// Socket deadline in force, applied again to every reconnection.
+    op_timeout: Option<Duration>,
+    /// Reconnect-and-resend state; `None` for a client without a policy.
+    retry: Option<Retry>,
 }
 
 impl CollectorClient {
@@ -105,68 +131,64 @@ impl CollectorClient {
     /// ([`ldp_protocols::WireError::BadMagic`] /
     /// [`ldp_protocols::WireError::UnsupportedVersion`]).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, CollectorError> {
-        let candidates = addr
+        let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|error| CollectorError::Transport {
                 target: "<address resolution>".to_string(),
                 error,
-            })?;
-        let mut tried = Vec::new();
-        let mut last: Option<std::io::Error> = None;
-        for candidate in candidates {
-            match TcpStream::connect(candidate) {
-                Ok(stream) => return Self::from_stream(stream),
-                Err(error) => {
-                    tried.push(candidate.to_string());
-                    last = Some(error);
-                }
-            }
-        }
-        Err(CollectorError::Transport {
-            target: if tried.is_empty() {
-                "<no addresses resolved>".to_string()
-            } else {
-                tried.join(", ")
-            },
-            error: last.unwrap_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::AddrNotAvailable,
-                    "the address resolved to nothing",
-                )
-            }),
-        })
-    }
-
-    fn from_stream(stream: TcpStream) -> Result<Self, CollectorError> {
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::with_capacity(1 << 16, stream.try_clone()?);
-        let mut reader = BufReader::with_capacity(1 << 16, stream);
-        write_stream_header(&mut writer)?;
-        writer.flush()?;
-        read_stream_header(&mut reader)?;
+            })?
+            .collect();
+        let (reader, writer) = dial(&addrs, None)?;
         Ok(CollectorClient {
             reader,
             writer,
+            addrs,
             payload: Vec::new(),
             batch: Vec::new(),
             batch_count: 0,
             batch_cap: DEFAULT_BATCH_REPORTS,
             round: 0,
             tenant: 0,
+            op_timeout: None,
+            retry: None,
         })
     }
 
     /// Bounds how long any single control call may block on the socket
     /// (read and write side): past the deadline the call fails with a
     /// transport-class error instead of hanging on a daemon that died
-    /// mid-reply. `None` restores blocking calls.
+    /// mid-reply. `None` restores blocking calls. A reconnect under a
+    /// [`RetryPolicy`] applies the same deadline to the new connection,
+    /// handshake included.
     ///
     /// # Errors
     /// Socket option failures.
     pub fn set_op_timeout(&mut self, timeout: Option<Duration>) -> Result<(), CollectorError> {
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.writer.get_ref().set_write_timeout(timeout)?;
+        self.op_timeout = timeout;
         Ok(())
+    }
+
+    /// Sets the policy under which transport failures reconnect and
+    /// resend (see the module docs); the connection made by
+    /// [`Self::connect`] is kept.
+    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = Some(Retry::new(policy));
+        self
+    }
+
+    /// Reconnections performed so far (always 0 without a retry policy).
+    pub fn reconnects(&self) -> u64 {
+        self.retry.as_ref().map_or(0, |retry| retry.reconnects)
+    }
+
+    /// Severs the current connection without telling the daemon — the
+    /// fault-injection hook crash tests use to exercise the reconnect
+    /// and resend path deterministically.
+    #[doc(hidden)]
+    pub fn fault_disconnect(&mut self) {
+        let _ = self.reader.get_ref().shutdown(std::net::Shutdown::Both);
     }
 
     /// How many dropped clients (process-wide) failed their implicit
@@ -221,6 +243,13 @@ impl CollectorClient {
     /// it the current round for subsequent reports. `quota: None` lets
     /// the daemon default to the population size.
     ///
+    /// Under a [`RetryPolicy`], a `ROUND_ALREADY_OPEN` refusal of an
+    /// `OPEN` resent after a reconnect within this call counts as
+    /// success: the first copy reached the daemon, or the round was
+    /// recovered by the daemon reconnected to. A refusal of the first
+    /// copy surfaces — round ids are global across tenants, so the round
+    /// may be another session's.
+    ///
     /// # Errors
     /// Daemon refusals (cap or admission quota exceeded, duplicate round
     /// id) as [`CollectorError::Remote`]; transport failures otherwise.
@@ -230,7 +259,6 @@ impl CollectorClient {
         channel: RoundChannel,
         quota: Option<u64>,
     ) -> Result<(), CollectorError> {
-        self.send_batch()?;
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
         put_varint(self.tenant, &mut payload);
@@ -247,8 +275,18 @@ impl CollectorClient {
             }
         }
         put_varint(quota.unwrap_or(0), &mut payload);
-        write_frame(&mut self.writer, frames::OPEN, &payload)?;
-        self.expect(frames::ACK)?;
+        let mut sends = 0u32;
+        let reply = self.call(|c| {
+            sends += 1;
+            c.exchange(frames::OPEN, &payload)
+        });
+        match reply {
+            Ok(frames::ACK) => {}
+            Err(CollectorError::Remote { code, .. })
+                if code == codes::ROUND_ALREADY_OPEN && sends > 1 => {}
+            Ok(kind) => return Err(CollectorError::UnexpectedFrame { kind }),
+            Err(e) => return Err(e),
+        }
         self.round = round_id;
         Ok(())
     }
@@ -260,7 +298,8 @@ impl CollectorClient {
     /// [`Self::set_round`] for why a batch is homogeneous).
     ///
     /// # Errors
-    /// Transport failures (only when a full batch is emitted).
+    /// Transport failures (only when a full batch is emitted, or a full
+    /// resend window forces a [`Self::sync`]).
     pub fn queue_report(
         &mut self,
         user_id: u64,
@@ -306,27 +345,14 @@ impl CollectorClient {
         self.push_batch_entry()
     }
 
-    /// [`Self::queue_report`] from an entry already encoded with
-    /// [`wire::encode_report`] — how [`RetryingClient`] replays its
-    /// resend window without re-encoding (and without knowing which
-    /// channel each entry was).
-    ///
-    /// # Errors
-    /// As [`Self::queue_report`].
-    pub fn queue_encoded_entry(&mut self, entry: &[u8]) -> Result<(), CollectorError> {
-        let mut scratch = std::mem::take(&mut self.payload);
-        scratch.clear();
-        scratch.extend_from_slice(entry);
-        self.payload = scratch;
-        self.push_batch_entry()
-    }
-
     /// Appends the entry staged in `self.payload` to the batch — the one
     /// place the entry framing (varint length + bytes) lives on the
     /// client — and emits the batch once it reaches the configured count
     /// or [`Self::BATCH_FLUSH_BYTES`]: the byte bound keeps a legal
     /// round's batch frame far below [`wire::MAX_FRAME_LEN`] whatever
     /// the per-entry size (a 2¹⁶-group degree vector is ~512 KiB alone).
+    /// Under a [`RetryPolicy`], a full resend window forces a
+    /// [`Self::sync`].
     fn push_batch_entry(&mut self) -> Result<(), CollectorError> {
         put_varint(self.payload.len() as u64, &mut self.batch);
         let payload = std::mem::take(&mut self.payload);
@@ -335,6 +361,11 @@ impl CollectorClient {
         self.batch_count += 1;
         if self.batch_count >= self.batch_cap || self.batch.len() >= Self::BATCH_FLUSH_BYTES {
             self.send_batch()?;
+        }
+        if let Some(retry) = &self.retry {
+            if retry.window_reports + self.batch_count >= retry.policy.resend_window.max(1) {
+                self.sync()?;
+            }
         }
         Ok(())
     }
@@ -351,15 +382,31 @@ impl CollectorClient {
     /// # Errors
     /// Transport failures.
     pub fn send_batch(&mut self) -> Result<(), CollectorError> {
+        self.call(Self::emit_batch)
+    }
+
+    /// [`Self::send_batch`] without retry, run by every call body before
+    /// its own frame. Under a [`RetryPolicy`] the frame enters the resend
+    /// window before it is written, so a failed write loses nothing.
+    fn emit_batch(&mut self) -> Result<(), CollectorError> {
         if self.batch_count == 0 {
             return Ok(());
         }
         let mut head = Vec::with_capacity(20);
         put_varint(self.round, &mut head);
         put_varint(self.batch_count as u64, &mut head);
-        wire::write_frame_split(&mut self.writer, frames::REPORT_BATCH, &head, &self.batch)?;
-        self.batch.clear();
-        self.batch_count = 0;
+        if let Some(retry) = self.retry.as_mut() {
+            let start = retry.window.len();
+            wire::write_frame_split(&mut retry.window, frames::REPORT_BATCH, &head, &self.batch)?;
+            retry.window_reports += self.batch_count;
+            self.batch.clear();
+            self.batch_count = 0;
+            self.writer.write_all(&retry.window[start..])?;
+        } else {
+            wire::write_frame_split(&mut self.writer, frames::REPORT_BATCH, &head, &self.batch)?;
+            self.batch.clear();
+            self.batch_count = 0;
+        }
         Ok(())
     }
 
@@ -370,16 +417,19 @@ impl CollectorClient {
     /// # Errors
     /// Transport failures.
     pub fn flush(&mut self) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        self.writer.flush()?;
-        Ok(())
+        self.call(|c| {
+            c.emit_batch()?;
+            c.writer.flush()?;
+            Ok(())
+        })
     }
 
     /// Acknowledged barrier: returns once the daemon has ingested every
     /// report this session sent so far. Concurrent uploaders call this
     /// before the coordinating session closes the round — the daemon
     /// processes a session's frames in order, so the `ACK` proves the
-    /// close summary will include everything sent here.
+    /// close summary will include everything sent here. The `ACK` also
+    /// empties the resend window of a client with a [`RetryPolicy`].
     ///
     /// This is also where *asynchronous* typed errors land: reports are
     /// unacknowledged, so a misdirected frame (unknown or closed round)
@@ -392,35 +442,42 @@ impl CollectorClient {
     /// Daemon refusals — including deferred refusals of earlier report
     /// frames — and transport failures.
     pub fn sync(&mut self) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        write_frame(&mut self.writer, frames::SYNC, &[])?;
-        let mut first_err = None;
-        loop {
-            match self.read_reply() {
-                Ok(kind) if kind == frames::ACK => break,
-                Ok(kind) => return Err(CollectorError::UnexpectedFrame { kind }),
-                Err(e @ CollectorError::Remote { .. }) => first_err = first_err.or(Some(e)),
-                // Transport death (e.g. the daemon dropped a refused
-                // session): report the typed refusal if one arrived.
-                Err(e) => return Err(first_err.unwrap_or(e)),
+        self.call(|c| {
+            c.emit_batch()?;
+            write_frame(&mut c.writer, frames::SYNC, &[])?;
+            let mut first_err = None;
+            loop {
+                match c.read_reply() {
+                    Ok(kind) if kind == frames::ACK => break,
+                    Ok(kind) => return Err(CollectorError::UnexpectedFrame { kind }),
+                    Err(e @ CollectorError::Remote { .. }) => first_err = first_err.or(Some(e)),
+                    // Transport death (e.g. the daemon dropped a refused
+                    // session): report the typed refusal if one arrived.
+                    Err(e) => return Err(first_err.unwrap_or(e)),
+                }
             }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+            if let Some(retry) = c.retry.as_mut() {
+                retry.window.clear();
+                retry.window_reports = 0;
+            }
+            first_err.map_or(Ok(()), Err)
+        })
     }
 
-    /// Closes intake and returns the daemon's summary.
+    /// Closes intake and returns the daemon's summary. Under a
+    /// [`RetryPolicy`], unacknowledged reports are synced first, so a
+    /// reconnect during the close replays no report after the `CLOSE`;
+    /// a resent `CLOSE` is a no-op on the closed round.
     ///
     /// # Errors
     /// Daemon refusals and transport failures.
     pub fn close_round(&mut self, round_id: u64) -> Result<RoundSummary, CollectorError> {
-        self.send_batch()?;
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::CLOSE, &payload)?;
-        self.expect(frames::SUMMARY)?;
+        if let Some(retry) = &self.retry {
+            if retry.window_reports + self.batch_count > 0 {
+                self.sync()?;
+            }
+        }
+        self.request(frames::CLOSE, &round_payload(round_id), frames::SUMMARY)?;
         let mut buf = self.payload.as_slice();
         let accepted = get_varint(&mut buf)?;
         let rejected_duplicate = get_varint(&mut buf)?;
@@ -452,24 +509,23 @@ impl CollectorClient {
     /// # Errors
     /// Daemon refusals and transport failures.
     pub fn stats(&mut self) -> Result<Vec<wire::StatsEntry>, CollectorError> {
-        self.send_batch()?;
-        write_frame(&mut self.writer, frames::STATS, &[])?;
-        self.expect(frames::STATS_REPLY)?;
+        self.request(frames::STATS, &[], frames::STATS_REPLY)?;
         Ok(wire::decode_stats_reply(&self.payload)?)
     }
 
     /// Finalizes an adjacency round into the server view — bit-identical
     /// to aggregating the same reports in process.
     ///
+    /// Under a [`RetryPolicy`], a `FINALIZE` whose reply was lost is
+    /// resent. If the first copy reached the daemon, the round is already
+    /// consumed and the resend is refused with `NO_OPEN_ROUND`: the
+    /// daemon keeps no finalized aggregate to send again.
+    ///
     /// # Errors
     /// [`CollectorError::Remote`] while reports are outstanding or on a
     /// degree-vector round; transport failures otherwise.
     pub fn finalize_adjacency(&mut self, round_id: u64) -> Result<PerturbedView, CollectorError> {
-        self.send_batch()?;
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::FINALIZE, &payload)?;
-        match self.read_reply()? {
+        match self.call(|c| c.exchange(frames::FINALIZE, &round_payload(round_id)))? {
             frames::VIEW => Ok(wire::decode_view(&self.payload)?),
             frames::DEGREE_SUMMARY => Err(CollectorError::WrongChannel {
                 expected: "adjacency",
@@ -486,11 +542,7 @@ impl CollectorClient {
         &mut self,
         round_id: u64,
     ) -> Result<DegreeVectorSummary, CollectorError> {
-        self.send_batch()?;
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::FINALIZE, &payload)?;
-        match self.read_reply()? {
+        match self.call(|c| c.exchange(frames::FINALIZE, &round_payload(round_id)))? {
             frames::DEGREE_SUMMARY => {
                 let mut buf = self.payload.as_slice();
                 let accepted = get_varint(&mut buf)?;
@@ -524,23 +576,19 @@ impl CollectorClient {
     /// Daemon refusals (`CHECKPOINT_FAILED` from a daemon without a data
     /// dir, unknown round) and transport failures.
     pub fn checkpoint(&mut self, round_id: u64) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::CHECKPOINT, &payload)?;
-        self.expect(frames::ACK)?;
-        Ok(())
+        self.request(frames::CHECKPOINT, &round_payload(round_id), frames::ACK)
     }
 
-    /// Stops the daemon after this session.
+    /// Stops the daemon after this session. Under a [`RetryPolicy`] it is
+    /// retried like every other call: if the connection dies before the
+    /// `ACK`, the client reconnects and sends `SHUTDOWN` again, and a
+    /// daemon that already stopped leaves the last `Transport` error to
+    /// surface once the attempts run out.
     ///
     /// # Errors
     /// Transport failures.
     pub fn shutdown(&mut self) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        write_frame(&mut self.writer, frames::SHUTDOWN, &[])?;
-        self.expect(frames::ACK)?;
-        Ok(())
+        self.request(frames::SHUTDOWN, &[], frames::ACK)
     }
 
     /// Convenience: runs one complete adjacency round — open, stream one
@@ -572,6 +620,70 @@ impl CollectorClient {
         self.finalize_adjacency(round_id)
     }
 
+    /// One retried control exchange whose reply must be of kind `reply`
+    /// (its payload is left in `self.payload`).
+    fn request(&mut self, kind: u8, payload: &[u8], reply: u8) -> Result<(), CollectorError> {
+        match self.call(|c| c.exchange(kind, payload))? {
+            got if got == reply => Ok(()),
+            got => Err(CollectorError::UnexpectedFrame { kind: got }),
+        }
+    }
+
+    /// One control exchange, without retry: emits the queued batch (so
+    /// reports are never reordered around a control frame), writes the
+    /// frame, and reads the reply.
+    fn exchange(&mut self, kind: u8, payload: &[u8]) -> Result<u8, CollectorError> {
+        self.emit_batch()?;
+        write_frame(&mut self.writer, kind, payload)?;
+        self.read_reply()
+    }
+
+    /// Runs `body` once, or, under a [`RetryPolicy`], until it succeeds,
+    /// fails with a non-transport error, or uses up
+    /// [`RetryPolicy::max_attempts`] — backing off and reconnecting
+    /// before each further run. The one retry loop every public call
+    /// goes through.
+    fn call<T>(
+        &mut self,
+        mut body: impl FnMut(&mut Self) -> Result<T, CollectorError>,
+    ) -> Result<T, CollectorError> {
+        let mut attempt = 0u32;
+        loop {
+            let result = if attempt == 0 {
+                body(self)
+            } else {
+                self.reconnect().and_then(|()| body(self))
+            };
+            let e = match result {
+                Ok(value) => return Ok(value),
+                Err(e) => e,
+            };
+            let Some(retry) = self.retry.as_mut() else {
+                return Err(e);
+            };
+            attempt += 1;
+            if !is_transport(&e) || attempt >= retry.policy.max_attempts.max(1) {
+                return Err(e);
+            }
+            std::thread::sleep(retry.backoff(attempt));
+        }
+    }
+
+    /// Replaces the connection: a fresh handshake under the op timeout,
+    /// then the resend window written back verbatim. The old stream's
+    /// unsent bytes are discarded, not flushed — the window and the
+    /// re-run call body send them again.
+    fn reconnect(&mut self) -> Result<(), CollectorError> {
+        let (reader, writer) = dial(&self.addrs, self.op_timeout)?;
+        self.reader = reader;
+        let _ = std::mem::replace(&mut self.writer, writer).into_parts();
+        if let Some(retry) = self.retry.as_mut() {
+            retry.reconnects += 1;
+            self.writer.write_all(&retry.window)?;
+        }
+        Ok(())
+    }
+
     /// Flushes the report stream and reads the next reply frame into the
     /// internal payload buffer.
     fn read_reply(&mut self) -> Result<u8, CollectorError> {
@@ -598,20 +710,12 @@ impl CollectorClient {
         }
     }
 
-    fn expect(&mut self, kind: u8) -> Result<(), CollectorError> {
-        let got = self.read_reply()?;
-        if got != kind {
-            return Err(CollectorError::UnexpectedFrame { kind: got });
-        }
-        Ok(())
-    }
-
     /// Flushes the queued batch and stream buffer, swallowing (but
     /// counting — see [`Self::pending_flush_failed`]) any failure.
     /// Returns whether the flush reached the socket.
     fn flush_lossy(&mut self) -> bool {
         let flushed = self
-            .send_batch()
+            .emit_batch()
             .and_then(|()| Ok(self.writer.flush()?))
             .is_ok();
         if !flushed {
@@ -634,7 +738,59 @@ impl Drop for CollectorClient {
     }
 }
 
-/// How a [`RetryingClient`] paces and bounds its reconnects.
+/// The payload of a control frame that names only a round.
+fn round_payload(round_id: u64) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_varint(round_id, &mut payload);
+    payload
+}
+
+/// Connects to the first reachable candidate and performs the versioned
+/// handshake under `timeout`. A socket-level failure is a
+/// [`CollectorError::Transport`] naming every candidate.
+fn dial(
+    addrs: &[SocketAddr],
+    timeout: Option<Duration>,
+) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), CollectorError> {
+    let mut last: Option<std::io::Error> = None;
+    for &candidate in addrs {
+        match TcpStream::connect(candidate) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(timeout)?;
+                stream.set_write_timeout(timeout)?;
+                let mut writer = BufWriter::with_capacity(1 << 16, stream.try_clone()?);
+                let mut reader = BufReader::with_capacity(1 << 16, stream);
+                write_stream_header(&mut writer)?;
+                writer.flush()?;
+                read_stream_header(&mut reader)?;
+                return Ok((reader, writer));
+            }
+            Err(error) => last = Some(error),
+        }
+    }
+    Err(CollectorError::Transport {
+        target: if addrs.is_empty() {
+            "<no addresses resolved>".to_string()
+        } else {
+            addrs
+                .iter()
+                .map(SocketAddr::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        },
+        error: last.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::AddrNotAvailable,
+                "the address resolved to nothing",
+            )
+        }),
+    })
+}
+
+/// How a [`CollectorClient`] set up with [`CollectorClient::with_retry`]
+/// paces and bounds its reconnects, and how many reports it keeps for
+/// resend.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Attempts per operation before the last transport error surfaces
@@ -647,9 +803,10 @@ pub struct RetryPolicy {
     /// Seed of the deterministic backoff jitter — same seed, same
     /// schedule, so fault-injection tests replay identically.
     pub seed: u64,
-    /// Per-operation socket deadline applied to every (re)connection
-    /// (see [`CollectorClient::set_op_timeout`]); `None` blocks forever.
-    pub op_timeout: Option<Duration>,
+    /// Reports the resend window may hold before a forced
+    /// [`CollectorClient::sync`] (clamped to at least 1), bounding both
+    /// client memory and the resend burst after a crash.
+    pub resend_window: usize,
 }
 
 impl Default for RetryPolicy {
@@ -659,7 +816,7 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             seed: 0x1d9_c011,
-            op_timeout: Some(Duration::from_secs(10)),
+            resend_window: 1024,
         }
     }
 }
@@ -684,299 +841,26 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A [`CollectorClient`] that survives daemon crashes: transport
-/// failures trigger reconnection with bounded exponential backoff
-/// (deterministically jittered by [`RetryPolicy::seed`]), and reports
-/// queued since the last acknowledged [`Self::barrier`] live in a
-/// **resend window** that is replayed down every fresh connection.
-///
-/// ## Exactly-once ingest
-///
-/// The window makes delivery *at-least-once*: a report in flight when
-/// the daemon died is resent even though it may already have been
-/// folded. The daemon's per-round duplicate-id rejection (which survives
-/// crashes — the seen-bitmaps are rebuilt from the write-ahead journal)
-/// discards the second copy, so the *fold* happens exactly once and the
-/// finalized output is bit-identical to a fault-free run. Resent
-/// duplicates do tick the round's `rejected_duplicate` counter — that is
-/// the visible (and reconcilable) cost of the retry, not a correctness
-/// leak.
-///
-/// Control calls are retried under the same policy. [`Self::open_round`]
-/// is idempotent: a `ROUND_ALREADY_OPEN` refusal — the round survived
-/// (or was recovered by) the daemon we reconnected to — counts as
-/// success.
-pub struct RetryingClient {
-    target: String,
+/// A [`RetryPolicy`] in force, with the state it keeps between calls.
+struct Retry {
     policy: RetryPolicy,
-    tenant: u64,
-    batch_size: usize,
-    inner: Option<CollectorClient>,
-    round: u64,
-    /// Entries ([`wire::encode_report`] bytes) sent since the last
-    /// acknowledged barrier — the at-least-once resend set.
-    window: Vec<Vec<u8>>,
-    /// Window length that forces an implicit [`Self::barrier`], bounding
-    /// both client memory and the resend burst after a crash.
-    window_cap: usize,
     jitter_state: u64,
-    connects: u64,
+    reconnects: u64,
+    /// Every `REPORT_BATCH` frame written since the last acknowledged
+    /// `SYNC`, verbatim — the at-least-once resend set.
+    window: Vec<u8>,
+    /// Reports those frames carry.
+    window_reports: usize,
 }
 
-impl RetryingClient {
-    /// Default resend-window capacity (see [`Self::with_resend_window`]).
-    pub const DEFAULT_WINDOW: usize = 1024;
-
-    /// Creates the client (connection is established lazily, with
-    /// retries, by the first operation). `target` must be a resolvable
-    /// `host:port` string — it is re-resolved on every reconnect.
-    pub fn new(target: impl Into<String>, policy: RetryPolicy) -> Self {
-        RetryingClient {
-            target: target.into(),
+impl Retry {
+    fn new(policy: RetryPolicy) -> Self {
+        Retry {
             jitter_state: policy.seed,
             policy,
-            tenant: 0,
-            batch_size: DEFAULT_BATCH_REPORTS,
-            inner: None,
-            round: 0,
+            reconnects: 0,
             window: Vec::new(),
-            window_cap: Self::DEFAULT_WINDOW,
-            connects: 0,
-        }
-    }
-
-    /// Tenant stamped into `OPEN` frames (see
-    /// [`CollectorClient::with_tenant`]).
-    pub fn with_tenant(mut self, tenant: u64) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Batch size of the underlying client (see
-    /// [`CollectorClient::with_batch_size`]).
-    pub fn with_batch_size(mut self, reports: usize) -> Self {
-        self.batch_size = reports.clamp(1, wire::MAX_REPORTS_PER_BATCH);
-        self
-    }
-
-    /// Reports the resend window may hold before an implicit
-    /// [`Self::barrier`] (clamped to at least 1).
-    pub fn with_resend_window(mut self, reports: usize) -> Self {
-        self.window_cap = reports.max(1);
-        self
-    }
-
-    /// Reconnections performed so far (the first connect is not one).
-    pub fn reconnects(&self) -> u64 {
-        self.connects.saturating_sub(1)
-    }
-
-    /// Severs the current connection without telling the daemon — the
-    /// fault-injection hook crash tests use to exercise the reconnect
-    /// and resend path deterministically.
-    #[doc(hidden)]
-    pub fn fault_disconnect(&mut self) {
-        if let Some(client) = &self.inner {
-            let _ = client.reader.get_ref().shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Opens `round_id` (idempotently — see the type docs) and routes
-    /// subsequent reports at it.
-    ///
-    /// # Errors
-    /// Non-transport daemon refusals; [`CollectorError::Transport`] once
-    /// the retry budget is exhausted.
-    pub fn open_round(
-        &mut self,
-        round_id: u64,
-        channel: RoundChannel,
-        quota: Option<u64>,
-    ) -> Result<(), CollectorError> {
-        self.round = round_id;
-        match self.with_retry(|c| c.open_round(round_id, channel, quota)) {
-            Err(CollectorError::Remote { code, .. }) if code == codes::ROUND_ALREADY_OPEN => {
-                // The round survived (or was recovered by) the daemon —
-                // the open already happened; aim reports at it.
-                if let Some(client) = self.inner.as_mut() {
-                    client.set_round(round_id)?;
-                }
-                Ok(())
-            }
-            other => other,
-        }
-    }
-
-    /// Queues one report toward the current round, retrying delivery
-    /// across crashes. May trigger an implicit [`Self::barrier`] when
-    /// the resend window fills.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_report(
-        &mut self,
-        user_id: u64,
-        report: &UserReport,
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_report(user_id, report, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    /// [`Self::queue_report`] from a borrowed degree vector.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_degree_vector(
-        &mut self,
-        user_id: u64,
-        vector: &[f64],
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_degree_vector_report(user_id, vector, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    /// [`Self::queue_report`] from a borrowed adjacency report.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_adjacency_report(
-        &mut self,
-        user_id: u64,
-        report: &AdjacencyReport,
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_adjacency_report(user_id, report, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    fn queue_entry(&mut self, entry: Vec<u8>) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.queue_encoded_entry(&entry))?;
-        self.window.push(entry);
-        if self.window.len() >= self.window_cap {
-            self.barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Acknowledged barrier (see [`CollectorClient::sync`]): once it
-    /// returns, every report queued so far is folded *and durable on the
-    /// daemon's terms*, and the resend window is released — a crash
-    /// after this point resends nothing.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`]; the window is retained on failure.
-    pub fn barrier(&mut self) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.sync())?;
-        self.window.clear();
-        Ok(())
-    }
-
-    /// Closes intake on `round_id` (retried; closing an already-closed
-    /// round is a daemon-level no-op, so a replayed close is safe).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn close_round(&mut self, round_id: u64) -> Result<RoundSummary, CollectorError> {
-        self.barrier()?;
-        self.with_retry(|c| c.close_round(round_id))
-    }
-
-    /// Finalizes a degree-vector round (retried on transport failures
-    /// *before* the daemon consumed the round; see the crate docs on the
-    /// finalize durability gap).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn finalize_degree_vector(
-        &mut self,
-        round_id: u64,
-    ) -> Result<DegreeVectorSummary, CollectorError> {
-        self.with_retry(|c| c.finalize_degree_vector(round_id))
-    }
-
-    /// Finalizes an adjacency round (same caveats as
-    /// [`Self::finalize_degree_vector`]).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn finalize_adjacency(&mut self, round_id: u64) -> Result<PerturbedView, CollectorError> {
-        self.with_retry(|c| c.finalize_adjacency(round_id))
-    }
-
-    /// Scrapes the daemon's metrics (retried).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn stats(&mut self) -> Result<Vec<wire::StatsEntry>, CollectorError> {
-        self.with_retry(|c| c.stats())
-    }
-
-    /// Stops the daemon after this session (not retried past the first
-    /// delivered frame — a dead daemon is already stopped).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn shutdown(&mut self) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.shutdown())
-    }
-
-    /// Connects if disconnected: fresh handshake, session settings,
-    /// current round, then the resend window replayed down the new
-    /// connection (its duplicates are the daemon's to reject).
-    fn ensure_connected(&mut self) -> Result<(), CollectorError> {
-        if self.inner.is_some() {
-            return Ok(());
-        }
-        let mut client = CollectorClient::connect(self.target.as_str())?
-            .with_tenant(self.tenant)
-            .with_batch_size(self.batch_size);
-        client.set_op_timeout(self.policy.op_timeout)?;
-        client.set_round(self.round)?;
-        for entry in &self.window {
-            client.queue_encoded_entry(entry)?;
-        }
-        self.connects += 1;
-        self.inner = Some(client);
-        Ok(())
-    }
-
-    /// Runs `op` against a live connection, reconnecting (with backoff
-    /// and window resend) on transport-class failures, up to the
-    /// policy's attempt budget.
-    fn with_retry<T>(
-        &mut self,
-        mut op: impl FnMut(&mut CollectorClient) -> Result<T, CollectorError>,
-    ) -> Result<T, CollectorError> {
-        let budget = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            let result = self.ensure_connected().and_then(|()| {
-                match self.inner.as_mut() {
-                    Some(client) => op(client),
-                    // Unreachable after ensure_connected, typed anyway.
-                    None => Err(CollectorError::Transport {
-                        target: self.target.clone(),
-                        error: std::io::Error::new(
-                            std::io::ErrorKind::NotConnected,
-                            "no live connection",
-                        ),
-                    }),
-                }
-            });
-            match result {
-                Ok(value) => return Ok(value),
-                Err(e) if is_transport(&e) => {
-                    self.inner = None;
-                    attempt += 1;
-                    if attempt >= budget {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.backoff(attempt));
-                }
-                Err(e) => return Err(e),
-            }
+            window_reports: 0,
         }
     }
 
@@ -992,5 +876,41 @@ impl RetryingClient {
             .min(self.policy.max_backoff);
         let frac = (splitmix64(&mut self.jitter_state) >> 40) as f64 / (1u64 << 24) as f64;
         cap.mul_f64(0.5 + 0.5 * frac)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schedule(seed: u64) -> Vec<Duration> {
+        let mut retry = Retry::new(RetryPolicy {
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(300),
+            seed,
+            ..RetryPolicy::default()
+        });
+        (1..=20).map(|attempt| retry.backoff(attempt)).collect()
+    }
+
+    /// The same seed replays the same schedule; each delay lies in
+    /// `[cap/2, cap)`, where `cap` doubles from `base_backoff` (10, 20,
+    /// 40, 80, 160 ms) and then saturates at `max_backoff` (300 ms).
+    #[test]
+    fn backoff_doubles_from_the_base_saturates_and_jitters_by_seed() {
+        assert_eq!(schedule(7), schedule(7));
+        assert_ne!(schedule(7), schedule(8));
+        for seed in 0..64 {
+            for (doublings, delay) in (0u32..).zip(schedule(seed)) {
+                let cap =
+                    Duration::from_millis(10 << doublings.min(10)).min(Duration::from_millis(300));
+                assert!(
+                    cap / 2 <= delay && delay < cap,
+                    "seed {seed}, retry {}: {delay:?} outside [{:?}, {cap:?})",
+                    doublings + 1,
+                    cap / 2
+                );
+            }
+        }
     }
 }

@@ -54,8 +54,9 @@
 //!   payloads verbatim, *before* the fold) under a configurable
 //!   [`FsyncPolicy`], keeps checkpoints as records in the same segments,
 //!   and on restart recovers every open round bit-identically — a torn
-//!   final record reads as a clean end of log. Paired with the client's [`RetryPolicy`] resend window and the
-//!   engine's duplicate-id rejection, at-least-once retry becomes
+//!   final record reads as a clean end of log. Paired with the resend
+//!   window of a client set up with [`CollectorClient::with_retry`] and
+//!   the engine's duplicate-id rejection, at-least-once retry becomes
 //!   exactly-once ingest.
 //! * [`bridge`] — [`ServeScenario::serve`] /
 //!   [`WireWorldRunner`]: the `poison-core` scenario engine evaluated
@@ -83,8 +84,7 @@ pub mod wal;
 
 pub use bridge::{ServeScenario, WireWorldRunner};
 pub use client::{
-    CollectorClient, DegreeVectorSummary, RetryPolicy, RetryingClient, RoundSummary,
-    DEFAULT_BATCH_REPORTS,
+    CollectorClient, DegreeVectorSummary, RetryPolicy, RoundSummary, DEFAULT_BATCH_REPORTS,
 };
 pub use error::CollectorError;
 pub use metrics::CollectorMetrics;

@@ -2,7 +2,7 @@
 //!
 //! Each schedule spawns the daemon binary on a fixed port with a
 //! journal directory under `target/crash-test/`, drives a degree-vector
-//! round through a [`RetryingClient`], and at randomized ingest points
+//! round through a retrying [`CollectorClient`], and at randomized ingest points
 //! either SIGKILLs the process or arms the journal's torn-write fault
 //! hook (`LDP_WAL_KILL_AFTER_BYTES`) so the daemon aborts *mid-append*,
 //! leaving a torn record on disk. After every kill the daemon is
@@ -26,7 +26,7 @@
 //! Schedule directories are removed on success and kept on failure — CI
 //! uploads `target/crash-test/` as the post-mortem artifact.
 
-use ldp_collector::{CollectorClient, RetryPolicy, RetryingClient, RoundChannel};
+use ldp_collector::{CollectorClient, RetryPolicy, RoundChannel};
 use ldp_protocols::wire::{self, journal, StatsValue};
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -73,8 +73,19 @@ fn fast_retries() -> RetryPolicy {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(100),
         seed: 7,
-        op_timeout: Some(Duration::from_secs(5)),
+        resend_window: 6,
     }
+}
+
+/// A client of the daemon on `port` that rides its restarts.
+fn retrying_client(port: u16) -> CollectorClient {
+    let mut client = CollectorClient::connect(("127.0.0.1", port))
+        .expect("connect")
+        .with_retry(fast_retries());
+    client
+        .set_op_timeout(Some(Duration::from_secs(5)))
+        .expect("op timeout");
+    client
 }
 
 /// `target/crash-test/` — derived from the daemon binary's location so
@@ -196,8 +207,7 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
     // abort; the client keeps retrying across the gap.
     let mut watcher: Option<std::thread::JoinHandle<Child>> = None;
 
-    let mut client =
-        RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+    let mut client = retrying_client(port);
     client
         .open_round(
             ROUND,
@@ -317,8 +327,7 @@ fn a_crash_during_recovery_is_recoverable() {
     std::fs::create_dir_all(&dir).expect("create dir");
     let port = free_port();
     let mut daemon = spawn_daemon(&dir, port, None);
-    let mut client =
-        RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+    let mut client = retrying_client(port);
     client
         .open_round(
             ROUND,
@@ -334,7 +343,7 @@ fn a_crash_during_recovery_is_recoverable() {
             .queue_degree_vector(user, &vector(user))
             .expect("queue");
     }
-    client.barrier().expect("barrier");
+    client.sync().expect("barrier");
     daemon.kill().expect("SIGKILL");
     daemon.wait().expect("reap");
     // Threshold 1: startup compaction's first checkpoint record crosses

@@ -12,15 +12,16 @@
 //! The companion `tests/crash.rs` covers the same exactly-once claim
 //! against a real daemon *process* killed with SIGKILL.
 
+use ldp_collector::server::codes;
 use ldp_collector::wal::DurableLog;
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RetryPolicy,
-    RetryingClient, RoundChannel, RoundCollector,
+    RoundChannel, RoundCollector,
 };
 use ldp_protocols::wire::{self, journal, StatsValue};
 use ldp_protocols::UserReport;
 use proptest::prelude::*;
-use std::net::TcpListener;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
@@ -76,8 +77,20 @@ fn fast_retries() -> RetryPolicy {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(50),
         seed: 7,
-        op_timeout: Some(Duration::from_secs(5)),
+        resend_window: RetryPolicy::default().resend_window,
     }
+}
+
+/// A client of the daemon at `addr` that reconnects and resends under
+/// `policy`, with a 5 s deadline on every call.
+fn retrying_client(addr: impl ToSocketAddrs, policy: RetryPolicy) -> CollectorClient {
+    let mut client = CollectorClient::connect(addr)
+        .expect("connect")
+        .with_retry(policy);
+    client
+        .set_op_timeout(Some(Duration::from_secs(5)))
+        .expect("op timeout");
+    client
 }
 
 /// Runs one fault-free degree-vector round against a plain (non-durable)
@@ -353,7 +366,7 @@ fn transport_errors_name_the_target() {
 #[test]
 fn a_dropped_client_counts_its_failed_flush() {
     let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries());
+    let mut client = retrying_client(addr, fast_retries());
     client
         .open_round(21, channel(8), None)
         .expect("open round 21");
@@ -389,7 +402,13 @@ fn the_retrying_client_rides_disconnects_exactly_once() {
     let dir = scratch_dir("retry-rides");
     let (addr, handle) =
         CollectorServer::spawn_durable(config(), &dir, FsyncPolicy::Always).expect("spawn durable");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries()).with_resend_window(8);
+    let mut client = retrying_client(
+        addr,
+        RetryPolicy {
+            resend_window: 8,
+            ..fast_retries()
+        },
+    );
     client
         .open_round(ROUND, channel(population), generous_quota(population))
         .expect("open");
@@ -427,7 +446,7 @@ fn the_retrying_client_rides_disconnects_exactly_once() {
 fn open_round_is_idempotent_across_reconnects() {
     let population = 8usize;
     let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries());
+    let mut client = retrying_client(addr, fast_retries());
     client
         .open_round(ROUND, channel(population), None)
         .expect("first open");
@@ -443,6 +462,66 @@ fn open_round_is_idempotent_across_reconnects() {
     let summary = client.close_round(ROUND).expect("close");
     assert_eq!(summary.counters.accepted, population as u64);
     client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// A resend keeps every report in the round it was queued for: reports
+/// queued for round 31 and still in the resend window when the client
+/// moved on to round 32 and lost its connection go back to round 31,
+/// not to the round current at the reconnect.
+#[test]
+fn a_resend_keeps_each_report_in_its_round() {
+    let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
+    let mut client = retrying_client(addr, fast_retries());
+    client
+        .open_round(31, channel(8), generous_quota(8))
+        .expect("open round 31");
+    for user in 0..3u64 {
+        client
+            .queue_degree_vector(user, &vector(user))
+            .expect("queue into round 31");
+    }
+    client
+        .open_round(32, channel(8), generous_quota(8))
+        .expect("open round 32");
+    client.fault_disconnect();
+    client
+        .queue_degree_vector(7, &vector(7))
+        .expect("queue into round 32");
+    let round_32 = client.close_round(32).expect("close round 32");
+    assert_eq!(
+        round_32.counters.accepted, 1,
+        "round 31's reports were resent into round 32"
+    );
+    let round_31 = client.close_round(31).expect("close round 31");
+    assert_eq!(round_31.counters.accepted, 3);
+    assert!(
+        client.reconnects() >= 1,
+        "the fault never forced a reconnect"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// Round ids are global across tenants, so a retrying client's *first*
+/// `OPEN` of a round another session holds must be refused — only an
+/// `OPEN` resent after a reconnect may read `ROUND_ALREADY_OPEN` as its
+/// own earlier copy.
+#[test]
+fn a_first_open_of_a_held_round_is_refused() {
+    let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
+    let mut session_a = CollectorClient::connect(addr).expect("connect session A");
+    session_a
+        .open_round(ROUND, channel(8), None)
+        .expect("session A opens the round");
+    let mut client = retrying_client(addr, fast_retries()).with_tenant(1);
+    match client.open_round(ROUND, channel(8), None) {
+        Err(CollectorError::Remote { code, .. }) => {
+            assert_eq!(code, codes::ROUND_ALREADY_OPEN);
+        }
+        other => panic!("expected a ROUND_ALREADY_OPEN refusal, got {other:?}"),
+    }
+    session_a.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");
 }
 
@@ -511,8 +590,13 @@ proptest! {
         let dir = scratch_dir("prop-schedule");
         let port = free_port();
         let mut handle = start_durable_daemon(port, &dir);
-        let mut client =
-            RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+        let mut client = retrying_client(
+            ("127.0.0.1", port),
+            RetryPolicy {
+                resend_window: 6,
+                ..fast_retries()
+            },
+        );
         client
             .open_round(ROUND, channel(population), generous_quota(population))
             .expect("open");
