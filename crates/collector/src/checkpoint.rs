@@ -484,6 +484,97 @@ mod tests {
         assert_eq!(group_totals, vec![9.0, 36.0]);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The on-disk format, byte for byte: the `REC_SNAPSHOT` payloads and
+    /// the `REC_CHECKPOINT` marker of one small round per channel, each
+    /// with fixed ids, two shards, one duplicate and one invalid upload.
+    /// Every other checkpoint test compares restored finalizes, which a
+    /// layout change that round-trips would pass.
+    #[test]
+    fn checkpoint_record_bytes_are_pinned() {
+        let engine = RoundCollector::new(CollectorConfig {
+            shards: 2,
+            ..CollectorConfig::default()
+        })
+        .unwrap();
+        engine
+            .open_round_as(
+                3,
+                7,
+                RoundChannel::Adjacency {
+                    population: 5,
+                    p_keep: 0.75,
+                },
+                Some(9),
+            )
+            .unwrap();
+        for (id, degree) in [(4u64, 2.5), (0, 0.25), (3, 1.0), (1, -1.5), (3, 8.0)] {
+            let mut bits = BitSet::new(5);
+            for j in 0..5 {
+                if (id as usize + j).is_multiple_of(2) {
+                    bits.set(j);
+                }
+            }
+            engine
+                .ingest(
+                    7,
+                    id,
+                    UserReport::Adjacency(AdjacencyReport::new(bits, degree)),
+                )
+                .unwrap();
+        }
+        engine
+            .ingest(
+                7,
+                5,
+                UserReport::Adjacency(AdjacencyReport::new(BitSet::new(5), 0.0)),
+            )
+            .unwrap();
+        let (marker, shards) = snapshot(&engine, 7);
+        assert_eq!(
+            shards.iter().map(|s| hex(s)).collect::<Vec<_>>(),
+            [
+                "0700020001050000000000000003000000000000d03f0000000000000000000000000000044002\
+                 00000000000000000500000000000000",
+                "0701020101030000000000000002000000000000f8bf000000000000f03f020000000000000000\
+                 0200000000000000",
+            ]
+        );
+        assert_eq!(hex(&marker), "0702030005000000000000e83f090500010000");
+
+        engine
+            .open_round(
+                8,
+                RoundChannel::DegreeVector {
+                    population: 4,
+                    groups: 2,
+                },
+                None,
+            )
+            .unwrap();
+        for (id, vector) in [(2u64, [0.5, 3.0]), (1, [-2.0, 0.125]), (2, [9.0, 9.0])] {
+            engine
+                .ingest(8, id, UserReport::DegreeVector(vector.to_vec()))
+                .unwrap();
+        }
+        engine
+            .ingest(8, 0, UserReport::DegreeVector(vec![1.0]))
+            .unwrap();
+        engine.close_round(8).unwrap();
+        let (marker, shards) = snapshot(&engine, 8);
+        assert_eq!(
+            shards.iter().map(|s| hex(s)).collect::<Vec<_>>(),
+            [
+                "0800010101020000000000000002000000000000e03f000000000000084000",
+                "080101000101000000000000000200000000000000c0000000000000c03f00",
+            ]
+        );
+        assert_eq!(hex(&marker), "080200010402040300010001");
+    }
+
     #[test]
     fn malformed_checkpoints_are_typed() {
         let engine = RoundCollector::new(config()).unwrap();
