@@ -32,7 +32,7 @@
 //! [`CollectorError::BadCheckpoint`] naming the field that failed.
 
 use crate::error::CollectorError;
-use crate::round::{write_lock, RoundChannel, RoundCollector, Store};
+use crate::round::{write_lock, RoundChannel, RoundCollector};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{get_f64, get_u64, get_varint, put_f64, put_u64, put_varint, WireError};
 use std::sync::atomic::Ordering;
@@ -40,10 +40,6 @@ use std::time::Instant;
 
 const CHANNEL_ADJACENCY: u8 = 0;
 const CHANNEL_DEGREE_VECTOR: u8 = 1;
-
-/// One shard's checkpointable pieces: `(accepted, duplicates, seen words,
-/// degrees-or-sums, packed row words)`.
-type ShardSnapshot<'a> = (u64, u64, &'a [u64], &'a [f64], &'a [u64]);
 
 impl RoundCollector {
     /// Encodes the named round as checkpoint records: `shard_record` gets
@@ -69,10 +65,7 @@ impl RoundCollector {
         let round = guard
             .as_mut()
             .ok_or(CollectorError::UnknownRound { round_id })?;
-        let shards: Vec<ShardSnapshot<'_>> = match &mut round.store {
-            Store::Adjacency { shards, .. } => shards.snapshot_shards().collect(),
-            Store::DegreeVector { shards, .. } => shards.snapshot_shards().collect(),
-        };
+        let shards = round.store.shard_set_mut().snapshot_shards();
         let mut buf = Vec::new();
         for (shard_idx, &(accepted, duplicates, seen, floats, words)) in shards.iter().enumerate() {
             buf.clear();
@@ -192,15 +185,11 @@ impl RoundCollector {
                     detail: "trailing bytes after a shard record",
                 });
             }
-            let restored = match &mut round.store {
-                Store::Adjacency { shards, .. } => {
-                    shards.restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
-                }
-                Store::DegreeVector { shards, .. } => {
-                    shards.restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
-                }
-            };
-            restored.map_err(|detail| CollectorError::BadCheckpoint { detail })?;
+            round
+                .store
+                .shard_set_mut()
+                .restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
+                .map_err(|detail| CollectorError::BadCheckpoint { detail })?;
         }
         round.submitted.store(head.submitted, Ordering::Release);
         round

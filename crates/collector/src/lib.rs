@@ -20,12 +20,15 @@
 //!   is `Sync`: sessions on different rounds never share a lock, and any
 //!   number of threads ingest one round concurrently under its read
 //!   lock.
-//! * `shard` (internal) — reports routed by `user_id % shards` into
-//!   disjoint per-shard state behind per-shard locks; the lower-triangle
-//!   ownership rule of the in-process ingestion engine extends to
-//!   out-of-order, multi-session arrival (OR-folds into exclusively
-//!   owned rows commute), so concurrent folds merge by row copy into a
-//!   finalize that is bit-identical however sessions interleave.
+//! * `shard` (internal) — one shard-set type for both channels: reports
+//!   routed by `user_id % shards` into disjoint per-shard state behind
+//!   per-shard locks, with the duplicate check, counters, snapshot and
+//!   restore written once and only the fold body, layout and finalize
+//!   step per report kind. The lower-triangle ownership rule of the
+//!   in-process ingestion engine extends to out-of-order, multi-session
+//!   arrival (OR-folds into exclusively owned rows commute), so
+//!   concurrent folds merge by row copy into a finalize that is
+//!   bit-identical however sessions interleave.
 //! * [`checkpoint`] — an in-flight round as journal records (one per
 //!   shard plus a marker holding the round head): the encoding quiesces
 //!   concurrent sessions at a frame boundary, and a restore resumes with

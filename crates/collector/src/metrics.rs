@@ -34,11 +34,12 @@ const TRACE_CAPACITY: usize = 1024;
 /// Sample the per-fold latency/lock-wait probes roughly every
 /// `1 << FOLD_SAMPLE_SHIFT` reports: timing every fold would put two
 /// `Instant::now` calls on the per-report path, which is exactly the
-/// overhead budget this plane must stay under. On the batch path the
-/// decision is a mask of the session's plain fold counter; on the
-/// in-process singleton path it reads the owning shard's fold counter (a relaxed
-/// load). Either way the untimed majority pays no atomic write for
-/// the privilege of not being timed.
+/// overhead budget this plane must stay under. Both entry points hand
+/// the decision to the one admission-and-fold path: the batch loop
+/// masks the session's plain fold counter, the in-process `ingest`
+/// wrapper reads the owning shard's fold counter (a relaxed load).
+/// Either way the untimed majority pays no atomic write for the
+/// privilege of not being timed.
 pub(crate) const FOLD_SAMPLE_SHIFT: u32 = 6;
 
 /// Stable names for the `server::codes` refusal codes, in code order

@@ -56,7 +56,7 @@
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::shard::{AdjacencyShards, DegreeVectorShards};
+use crate::shard::{Adjacency, DegreeVectors, ShardSet, Shards};
 use ldp_graph::runtime::default_threads;
 use ldp_mechanisms::RandomizedResponse;
 use ldp_obs::TraceEvent;
@@ -283,14 +283,31 @@ pub enum RoundOutcome {
 
 pub(crate) enum Store {
     Adjacency {
-        shards: AdjacencyShards,
+        shards: Shards<Adjacency>,
         /// The flip mechanism, validated and constructed at open so
         /// finalize is infallible on it (no re-parse, no panic path).
         rr: RandomizedResponse,
     },
     DegreeVector {
-        shards: DegreeVectorShards,
+        shards: Shards<DegreeVectors>,
     },
+}
+
+impl Store {
+    /// The shard set without its kind: counters, snapshot and restore.
+    pub(crate) fn shard_set(&self) -> &dyn ShardSet {
+        match self {
+            Store::Adjacency { shards, .. } => shards,
+            Store::DegreeVector { shards } => shards,
+        }
+    }
+
+    pub(crate) fn shard_set_mut(&mut self) -> &mut dyn ShardSet {
+        match self {
+            Store::Adjacency { shards, .. } => shards,
+            Store::DegreeVector { shards } => shards,
+        }
+    }
 }
 
 pub(crate) struct OpenRound {
@@ -312,13 +329,11 @@ pub(crate) struct OpenRound {
 
 impl OpenRound {
     fn counters(&self) -> RoundCounters {
-        let (accepted, rejected_duplicate) = match &self.store {
-            Store::Adjacency { shards, .. } => (shards.accepted(), shards.duplicates()),
-            Store::DegreeVector { shards } => (shards.accepted(), shards.duplicates()),
-        };
+        let shards = self.store.shard_set();
+        let accepted = shards.accepted();
         RoundCounters {
             accepted,
-            rejected_duplicate,
+            rejected_duplicate: shards.duplicates(),
             rejected_quota: self.rejected_quota.load(Ordering::Acquire),
             rejected_invalid: self.rejected_invalid.load(Ordering::Acquire),
             rejected_malformed: self.rejected_malformed.load(Ordering::Acquire),
@@ -500,10 +515,10 @@ impl RoundCollector {
                         detail: "keep probability outside (0.5, 1)",
                     }
                 })?,
-                shards: AdjacencyShards::new(population, self.config.shards),
+                shards: Shards::new(population, self.config.shards, ()),
             },
             RoundChannel::DegreeVector { population, groups } => Store::DegreeVector {
-                shards: DegreeVectorShards::new(population, groups, self.config.shards),
+                shards: Shards::new(population, self.config.shards, groups),
             },
         };
         rounds.insert(
@@ -619,27 +634,14 @@ impl RoundCollector {
         report: &UserReport,
     ) -> Result<IngestOutcome, CollectorError> {
         let slot = self.slot(round_id)?;
-        self.ingest_in_slot(&slot, round_id, user_id, report)
-    }
-
-    /// [`Self::ingest_ref`] against an already-resolved slot — the
-    /// daemon looks a batch frame's round up once and folds every entry
-    /// through this, keeping the registry lock off the per-report path.
-    pub(crate) fn ingest_in_slot(
-        &self,
-        slot: &RoundSlot,
-        round_id: u64,
-        user_id: u64,
-        report: &UserReport,
-    ) -> Result<IngestOutcome, CollectorError> {
         let m = &*self.metrics;
+        // The owning shard's fold counter is this path's sampling key and
+        // the count it ticks. It shares the shards' routing key, so the
+        // counters' sum reconciles exactly with the accepted count.
         let shard = user_id as usize % m.shard_folds.len();
         let outcome =
-            self.ingest_in_slot_sampled(slot, round_id, user_id, report, m.sample_fold(shard))?;
-        if matches!(outcome, IngestOutcome::Queued) && m.active() {
-            // Per-shard fold counters use the same routing key as the
-            // shards themselves, so their sum reconciles exactly with
-            // the round's accepted count.
+            self.admit_and_fold(&slot, round_id, user_id, report, m.sample_fold(shard))?;
+        if outcome == IngestOutcome::Queued && m.active() {
             if let Some(c) = m.shard_folds.get(shard) {
                 c.incr();
             }
@@ -647,33 +649,16 @@ impl RoundCollector {
         Ok(outcome)
     }
 
-    /// [`ingest_in_slot`](Self::ingest_in_slot) for the `REPORT_BATCH`
-    /// loop: a fold success lands in the caller's plain-memory
-    /// [`FoldScratch`](crate::metrics::FoldScratch) (settled into the
-    /// registry once per frame) and the latency-sampling decision is
-    /// made by the caller, so the per-report path touches no atomic
-    /// beyond the round's own admission counters.
-    pub(crate) fn ingest_in_slot_batched(
-        &self,
-        slot: &RoundSlot,
-        round_id: u64,
-        user_id: u64,
-        report: &UserReport,
-        sampled: bool,
-        scratch: &mut crate::metrics::FoldScratch,
-    ) -> Result<IngestOutcome, CollectorError> {
-        let outcome = self.ingest_in_slot_sampled(slot, round_id, user_id, report, sampled)?;
-        if matches!(outcome, IngestOutcome::Queued) {
-            scratch.count(user_id as usize % self.metrics.shard_folds.len());
-        }
-        Ok(outcome)
-    }
-
-    /// The admission + fold core shared by the singleton and batch
-    /// paths. `sampled` routes this fold through the timed variant
-    /// (fold latency + shard-lock wait histograms); fold-count
-    /// accounting is the caller's job.
-    fn ingest_in_slot_sampled(
+    /// The one admission-and-fold path, against an already-resolved slot:
+    /// the daemon's `REPORT_BATCH` loop looks a frame's round up once and
+    /// folds every entry through this, and [`Self::ingest_ref`] wraps it
+    /// for one report. It charges the quota, validates the report, folds
+    /// it into the owning shard and, when `sampled`, records the fold
+    /// latency and the shard-lock wait. Counting the fold is the caller's
+    /// job: the batch loop counts into a plain-memory
+    /// [`FoldScratch`](crate::metrics::FoldScratch), the in-process
+    /// wrapper ticks the shard counter.
+    pub(crate) fn admit_and_fold(
         &self,
         slot: &RoundSlot,
         round_id: u64,
@@ -712,41 +697,36 @@ impl RoundCollector {
         }
         // Roughly 1-in-64 reports get their fold latency and shard-lock
         // wait timed; the untimed rest pay only the `sampled` branch.
-        let m = &*self.metrics;
         let fold_begin = sampled.then(Instant::now);
-        let folded = match (&round.store, report) {
-            (Store::Adjacency { shards, .. }, UserReport::Adjacency(r)) => {
-                if r.population() != n {
-                    return refund_invalid();
-                }
-                if sampled {
-                    let (folded, wait_nanos) = shards.fold_one_timed(user_id as usize, r);
-                    m.shard_lock_wait_nanos.observe(wait_nanos);
-                    folded
-                } else {
-                    shards.fold_one(user_id as usize, r)
-                }
+        // Only a report of the round's kind and geometry with every value
+        // finite folds. One NaN or infinite degree or group entry would
+        // poison the whole aggregate, so it is refunded as invalid before
+        // it can mark its user as seen.
+        let user = user_id as usize;
+        let (folded, lock_wait) = match (&round.store, round.channel, report) {
+            (Store::Adjacency { shards, .. }, _, UserReport::Adjacency(r))
+                if r.population() == n && r.degree.is_finite() =>
+            {
+                shards.fold_one(user, r, sampled)
             }
-            (Store::DegreeVector { shards }, UserReport::DegreeVector(v)) => {
-                if v.len() != shards.groups() {
-                    return refund_invalid();
-                }
-                if sampled {
-                    let (folded, wait_nanos) = shards.fold_one_timed(user_id as usize, v);
-                    m.shard_lock_wait_nanos.observe(wait_nanos);
-                    folded
-                } else {
-                    shards.fold_one(user_id as usize, v)
-                }
+            (
+                Store::DegreeVector { shards },
+                RoundChannel::DegreeVector { groups, .. },
+                UserReport::DegreeVector(v),
+            ) if v.len() == groups && v.iter().all(|x| x.is_finite()) => {
+                shards.fold_one(user, v, sampled)
             }
             _ => return refund_invalid(),
         };
-        if let Some(begin) = fold_begin {
+        if let (Some(begin), Some(wait)) = (fold_begin, lock_wait) {
+            let m = &*self.metrics;
+            m.shard_lock_wait_nanos.observe(wait);
             m.fold_nanos.observe(begin.elapsed().as_nanos() as u64);
         }
-        Ok(match folded {
-            Ok(()) => IngestOutcome::Queued,
-            Err(_) => IngestOutcome::Duplicate,
+        Ok(if folded {
+            IngestOutcome::Queued
+        } else {
+            IngestOutcome::Duplicate
         })
     }
 
@@ -831,10 +811,7 @@ impl RoundCollector {
                 .take()
                 .ok_or(CollectorError::UnknownRound { round_id })?;
             let n = round.channel.population();
-            let accepted = match &round.store {
-                Store::Adjacency { shards, .. } => shards.accepted(),
-                Store::DegreeVector { shards } => shards.accepted(),
-            };
+            let accepted = round.store.shard_set().accepted();
             if accepted != n as u64 {
                 // Not complete yet: put the state back so intake (and a
                 // later finalize) can continue as if untouched.
@@ -1130,6 +1107,136 @@ mod tests {
         // Round consumed, registry empty, charge refunded.
         assert!(engine.open_round_ids().is_empty());
         assert_eq!(engine.memory_used(), 0);
+    }
+
+    /// `NaN + x` is `NaN`: one non-finite value in one fake user's report
+    /// would wipe out a whole round's aggregate. Such a report is invalid
+    /// on both channels: its quota charge is refunded, it is counted, and
+    /// its user is not marked as seen.
+    #[test]
+    fn non_finite_reports_are_invalid_not_folded() {
+        let engine = RoundCollector::new(CollectorConfig::default()).unwrap();
+        engine
+            .open_round(
+                1,
+                RoundChannel::DegreeVector {
+                    population: 2,
+                    groups: 2,
+                },
+                None,
+            )
+            .unwrap();
+        for vector in [
+            [f64::NAN, 1.0],
+            [1.0, f64::INFINITY],
+            [f64::NEG_INFINITY, 0.0],
+        ] {
+            assert_eq!(
+                engine
+                    .ingest(1, 0, UserReport::DegreeVector(vector.to_vec()))
+                    .unwrap(),
+                IngestOutcome::Invalid
+            );
+        }
+        // The quota is the population, so a charge kept by any refused
+        // report would turn one of these into `QuotaExceeded`, and a seen
+        // mark into `Duplicate`.
+        for i in 0..2 {
+            assert_eq!(
+                engine
+                    .ingest(1, i, UserReport::DegreeVector(vec![1.0, 2.0]))
+                    .unwrap(),
+                IngestOutcome::Queued
+            );
+        }
+        let counters = engine.close_round(1).unwrap();
+        assert_eq!((counters.accepted, counters.rejected_invalid), (2, 3));
+        let RoundOutcome::DegreeVector { group_totals, .. } = engine.finalize(1).unwrap() else {
+            panic!("degree-vector round expected");
+        };
+        assert_eq!(group_totals, vec![2.0, 4.0]);
+
+        engine.open_round(2, adjacency_channel(2), None).unwrap();
+        for degree in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                engine
+                    .ingest(2, 1, UserReport::Adjacency(report(2, degree)))
+                    .unwrap(),
+                IngestOutcome::Invalid
+            );
+        }
+        for i in 0..2 {
+            assert_eq!(
+                engine
+                    .ingest(2, i, UserReport::Adjacency(report(2, 1.0)))
+                    .unwrap(),
+                IngestOutcome::Queued
+            );
+        }
+        let counters = engine.close_round(2).unwrap();
+        assert_eq!((counters.accepted, counters.rejected_invalid), (2, 2));
+        let RoundOutcome::Adjacency(view) = engine.finalize(2).unwrap() else {
+            panic!("adjacency round expected");
+        };
+        assert_eq!(view.reported_degrees(), [1.0, 1.0]);
+    }
+
+    /// Both entry points count every fold: the in-process `ingest_ref`
+    /// ticks the shard counter per report, the `REPORT_BATCH` loop settles
+    /// its scratch once per frame. Either way the counters sum to the
+    /// accepted count, and about one fold in 64 is timed — at least
+    /// ⌊N/64⌋, and at most one more per shard than ⌈N/64⌉.
+    #[test]
+    fn both_entry_points_count_every_fold_and_time_one_in_64() {
+        use crate::server::{apply_frame, Session};
+        use ldp_protocols::wire::{encode_routed_batch, frames};
+
+        let (n, shards) = (300usize, 4usize);
+        let reports: Vec<(u64, UserReport)> = (0..n as u64)
+            .map(|i| (i, UserReport::Adjacency(report(n, i as f64))))
+            .collect();
+        let open = || {
+            let engine = RoundCollector::new(CollectorConfig {
+                shards,
+                ..CollectorConfig::default()
+            })
+            .unwrap();
+            engine.open_round(1, adjacency_channel(n), None).unwrap();
+            engine
+        };
+        let in_process = open();
+        for (id, r) in &reports {
+            in_process.ingest_ref(1, *id, r).unwrap();
+        }
+        let wire = open();
+        let mut session = Session::default();
+        for batch in reports.chunks(100) {
+            let mut payload = Vec::new();
+            encode_routed_batch(1, batch, &mut payload);
+            apply_frame(&wire, None, &mut session, frames::REPORT_BATCH, &payload).unwrap();
+        }
+        for engine in [&in_process, &wire] {
+            let accepted = engine.close_round(1).unwrap().accepted;
+            assert_eq!(accepted, n as u64);
+            assert_eq!(engine.metrics().reports_folded(), accepted);
+            let timed: u64 = engine
+                .metrics()
+                .snapshot()
+                .into_iter()
+                .find_map(|s| match s.value {
+                    ldp_obs::SampleValue::Histogram { buckets, .. }
+                        if s.name == "ingest_fold_nanos" =>
+                    {
+                        Some(buckets.iter().sum())
+                    }
+                    _ => None,
+                })
+                .unwrap();
+            assert!(
+                (n as u64 / 64..=(n.div_ceil(64) + shards) as u64).contains(&timed),
+                "{timed} timed folds of {n}"
+            );
+        }
     }
 
     #[test]

@@ -73,7 +73,9 @@
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::round::{CollectorConfig, RoundChannel, RoundCollector, RoundCounters, RoundOutcome};
+use crate::round::{
+    CollectorConfig, IngestOutcome, RoundChannel, RoundCollector, RoundCounters, RoundOutcome,
+};
 use crate::wal::{DurableLog, FsyncPolicy, Recovery};
 use ldp_obs::{Gauge, TraceEvent};
 use ldp_protocols::wire::{
@@ -975,16 +977,16 @@ fn fold_batch(session: &mut Session, engine: &RoundCollector, payload: &[u8]) {
                                     & ((1 << crate::metrics::FOLD_SAMPLE_SHIFT) - 1)
                                     == 0;
                             session.folds_seen = session.folds_seen.wrapping_add(1);
-                            if let Err(e) = engine.ingest_in_slot_batched(
-                                &slot,
-                                round_id,
-                                user_id,
-                                &report,
-                                sampled,
-                                &mut scratch,
-                            ) {
-                                engine.note_invalid(round_id);
-                                session.warn_once(round_id, &e, metrics);
+                            match engine.admit_and_fold(&slot, round_id, user_id, &report, sampled)
+                            {
+                                Ok(IngestOutcome::Queued) => {
+                                    scratch.count(user_id as usize % metrics.shard_folds.len());
+                                }
+                                Ok(_) => {}
+                                Err(e) => {
+                                    engine.note_invalid(round_id);
+                                    session.warn_once(round_id, &e, metrics);
+                                }
                             }
                         }
                         // A malformed entry is isolated by its length

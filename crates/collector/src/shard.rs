@@ -12,6 +12,11 @@
 //! ownership. Merging at finalize is a straight row copy — the shard
 //! states never overlap.
 //!
+//! Both channels share one shard set, [`Shards`]: the seen-bitmap, the
+//! duplicate check, the counters, the per-shard mutex, the timed lock,
+//! snapshot and restore are written once. A report kind ([`ShardKind`])
+//! supplies only its storage layout, its fold body and its finalize step.
+//!
 //! Adjacency shards store their rows *triangularly packed*: row `i` is
 //! allotted exactly its `⌈i/64⌉` owned words, so the whole shard set costs
 //! one lower triangle (`≈ N²/16` bytes) on top of the final matrix instead
@@ -31,6 +36,7 @@ use ldp_graph::{BitMatrix, BitSet};
 use ldp_protocols::ingest::fold_lower_bits;
 use ldp_protocols::AdjacencyReport;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Number of owned (lower-triangle) words of row `i`.
 #[inline]
@@ -54,37 +60,56 @@ fn inner_mut<T>(m: &mut Mutex<T>) -> &mut T {
     m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Why a report bounced off a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardReject {
-    /// The user already reported this round.
-    Duplicate,
+/// One shard's checkpointable pieces: `(accepted, duplicates, seen words,
+/// degrees-or-sums, packed row words)`.
+pub(crate) type ShardSnapshot<'a> = (u64, u64, &'a [u64], &'a [f64], &'a [u64]);
+
+/// What a report kind adds to the shared shard machinery. Every shard
+/// keeps its kind's state in two flat arrays, `floats` and `words`; the
+/// kind lays them out and folds one report into them.
+pub(crate) trait ShardKind: Sized {
+    /// The report this kind folds.
+    type Report: ?Sized;
+    /// Round geometry beyond the population (a degree-vector round's
+    /// group count).
+    type Geometry: Copy;
+
+    /// Lays out shard `shard` of `stride`, which holds `slots` users: the
+    /// kind's own per-shard state plus the lengths of the shard's float
+    /// and word arrays.
+    fn layout(
+        geometry: Self::Geometry,
+        shard: usize,
+        stride: usize,
+        slots: usize,
+    ) -> (Self, usize, usize);
+
+    /// Folds `report` of `user_id`, which sits in slot `slot`, into the
+    /// shard's arrays. Runs under the shard mutex, called from the fold's
+    /// hot path.
+    fn fold_slot(
+        &self,
+        floats: &mut [f64],
+        words: &mut [u64],
+        slot: usize,
+        user_id: usize,
+        report: &Self::Report,
+    );
 }
 
-/// One shard of an adjacency round: rows `i ≡ shard (mod stride)`.
+/// The adjacency kind: `floats` holds each slot's reported (Laplace)
+/// degree and `words` the triangularly packed rows — slot `s` (row
+/// `shard + s·stride`) owns `words[offsets[s]..offsets[s + 1]]`.
 #[derive(Debug)]
-pub(crate) struct AdjacencyShard {
-    shard: usize,
-    stride: usize,
-    /// Which of this shard's slots have reported.
-    seen: BitSet,
-    /// Reported (Laplace) degree per slot.
-    degrees: Vec<f64>,
-    /// Triangular row storage: slot `s` (row `shard + s·stride`) owns
-    /// `words[offsets[s]..offsets[s+1]]`.
-    words: Vec<u64>,
+pub(crate) struct Adjacency {
     offsets: Vec<usize>,
-    accepted: u64,
-    duplicates: u64,
 }
 
-impl AdjacencyShard {
-    fn new(shard: usize, stride: usize, n: usize) -> Self {
-        let slots = if n > shard {
-            (n - shard).div_ceil(stride)
-        } else {
-            0
-        };
+impl ShardKind for Adjacency {
+    type Report = AdjacencyReport;
+    type Geometry = ();
+
+    fn layout((): (), shard: usize, stride: usize, slots: usize) -> (Self, usize, usize) {
         let mut offsets = Vec::with_capacity(slots + 1);
         let mut total = 0usize;
         offsets.push(0);
@@ -92,94 +117,223 @@ impl AdjacencyShard {
             total += owned_words(shard + s * stride);
             offsets.push(total);
         }
-        AdjacencyShard {
-            shard,
-            stride,
-            seen: BitSet::new(slots),
-            degrees: vec![0.0; slots],
-            words: vec![0; total],
-            offsets,
-            accepted: 0,
-            duplicates: 0,
-        }
+        (Adjacency { offsets }, slots, total)
     }
 
-    /// Folds one report owned by this shard. The caller guarantees
-    /// `user_id % stride == shard` and `user_id < n`.
+    fn fold_slot(
+        &self,
+        degrees: &mut [f64],
+        words: &mut [u64],
+        slot: usize,
+        user_id: usize,
+        report: &AdjacencyReport,
+    ) {
+        // `Shards::fold_one`'s caller guarantees `user_id < n`.
+        debug_assert!(slot < degrees.len());
+        let row = &mut words[self.offsets[slot]..self.offsets[slot + 1]];
+        fold_lower_bits(row, &report.bits, user_id);
+        degrees[slot] = report.degree;
+    }
+}
+
+/// The degree-vector kind: `floats` holds the shard's running per-group
+/// sums and `words` stays empty, so a shard has no per-slot state beyond
+/// its seen-bitmap.
+#[derive(Debug)]
+pub(crate) struct DegreeVectors;
+
+impl ShardKind for DegreeVectors {
+    type Report = [f64];
+    type Geometry = usize;
+
+    fn layout(groups: usize, _: usize, _: usize, _: usize) -> (Self, usize, usize) {
+        (DegreeVectors, groups, 0)
+    }
+
+    fn fold_slot(&self, sums: &mut [f64], _: &mut [u64], _: usize, _: usize, vector: &[f64]) {
+        for (acc, x) in sums.iter_mut().zip(vector) {
+            *acc += x;
+        }
+    }
+}
+
+/// One shard: the users `i ≡ shard (mod stride)`, user `i` in slot
+/// `i / stride`.
+#[derive(Debug)]
+struct Shard<K> {
+    /// Which slots have reported.
+    seen: BitSet,
+    /// The kind's float state: per-slot degrees or per-group sums.
+    floats: Vec<f64>,
+    /// The kind's word state: packed rows, or nothing.
+    words: Vec<u64>,
+    accepted: u64,
+    duplicates: u64,
+    kind: K,
+}
+
+impl<K: ShardKind> Shard<K> {
+    /// Folds the report of `user_id` (slot `slot`) unless that user
+    /// already reported; `false` on a duplicate, which is counted and
+    /// dropped.
     // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
-    // accepted report; acquiring any further lock here would serialize the
-    // whole ingest plane (or deadlock against the checkpoint quiesce)
-    fn fold(&mut self, user_id: usize, report: &AdjacencyReport) -> Result<(), ShardReject> {
-        debug_assert_eq!(user_id % self.stride, self.shard);
-        let slot = user_id / self.stride;
+    // report that reaches a shard, as does the kind's `fold_slot` it calls;
+    // acquiring any further lock here would serialize the whole ingest
+    // plane (or deadlock against the checkpoint quiesce)
+    fn fold_report(&mut self, slot: usize, user_id: usize, report: &K::Report) -> bool {
         if self.seen.get(slot) {
             self.duplicates += 1;
-            return Err(ShardReject::Duplicate);
+            return false;
         }
         self.seen.set(slot);
-        let row = &mut self.words[self.offsets[slot]..self.offsets[slot + 1]];
-        fold_lower_bits(row, &report.bits, user_id);
-        self.degrees[slot] = report.degree;
+        self.kind
+            .fold_slot(&mut self.floats, &mut self.words, slot, user_id, report);
         self.accepted += 1;
-        Ok(())
+        true
     }
     // ldp-lint: hot-path(end)
 }
 
-/// The full shard set of an adjacency round. Each shard sits behind its
-/// own mutex so concurrent sessions fold without a global lock.
+/// The shard set of one round. Each shard sits behind its own mutex so
+/// concurrent sessions fold without a global lock.
 #[derive(Debug)]
-pub(crate) struct AdjacencyShards {
+pub(crate) struct Shards<K> {
     n: usize,
-    shards: Vec<Mutex<AdjacencyShard>>,
+    shards: Vec<Mutex<Shard<K>>>,
 }
 
-impl AdjacencyShards {
-    pub(crate) fn new(n: usize, num_shards: usize) -> Self {
+impl<K: ShardKind> Shards<K> {
+    pub(crate) fn new(n: usize, num_shards: usize, geometry: K::Geometry) -> Self {
         let num_shards = num_shards.max(1);
-        AdjacencyShards {
-            n,
-            shards: (0..num_shards)
-                .map(|s| Mutex::new(AdjacencyShard::new(s, num_shards, n)))
-                .collect(),
-        }
+        let shards = (0..num_shards)
+            .map(|s| {
+                let slots = if n > s {
+                    (n - s).div_ceil(num_shards)
+                } else {
+                    0
+                };
+                let (kind, floats, words) = K::layout(geometry, s, num_shards, slots);
+                Mutex::new(Shard {
+                    seen: BitSet::new(slots),
+                    floats: vec![0.0; floats],
+                    words: vec![0; words],
+                    accepted: 0,
+                    duplicates: 0,
+                    kind,
+                })
+            })
+            .collect();
+        Shards { n, shards }
     }
 
-    pub(crate) fn accepted(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).accepted).sum()
-    }
-
-    pub(crate) fn duplicates(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).duplicates).sum()
-    }
-
-    /// Folds one report under its owning shard's lock. The caller
-    /// guarantees `user_id < n`; duplicate ids are counted in the shard
-    /// and rejected.
+    /// Folds one report under its owning shard's lock: `true` if folded,
+    /// `false` for a duplicate id. The caller guarantees `user_id < n` and
+    /// a report of this round's geometry. With `timed`, the wait for the
+    /// shard mutex is measured and returned — the sampled probe behind
+    /// the `ingest_shard_lock_wait_nanos` metric.
     pub(crate) fn fold_one(
         &self,
         user_id: usize,
-        report: &AdjacencyReport,
-    ) -> Result<(), ShardReject> {
+        report: &K::Report,
+        timed: bool,
+    ) -> (bool, Option<u64>) {
         let stride = self.shards.len();
-        lock(&self.shards[user_id % stride]).fold(user_id, report)
-    }
-
-    /// [`Self::fold_one`] with the shard-lock acquisition timed — the
-    /// sampled probe behind the `ingest_shard_lock_wait_nanos` metric.
-    /// Returns `(fold result, nanoseconds spent waiting for the mutex)`.
-    pub(crate) fn fold_one_timed(
-        &self,
-        user_id: usize,
-        report: &AdjacencyReport,
-    ) -> (Result<(), ShardReject>, u64) {
-        let stride = self.shards.len();
-        let begin = std::time::Instant::now();
+        let begin = timed.then(Instant::now);
         let mut shard = lock(&self.shards[user_id % stride]);
-        let wait_nanos = begin.elapsed().as_nanos() as u64;
-        (shard.fold(user_id, report), wait_nanos)
+        let lock_wait = begin.map(|b| b.elapsed().as_nanos() as u64);
+        (
+            shard.fold_report(user_id / stride, user_id, report),
+            lock_wait,
+        )
+    }
+}
+
+/// The kind-independent face of a shard set: what the round counters and
+/// checkpoints need, reachable without matching on the round's channel.
+pub(crate) trait ShardSet {
+    /// Reports folded.
+    fn accepted(&self) -> u64;
+
+    /// Reports dropped as repeats of an already-folded id.
+    fn duplicates(&self) -> u64;
+
+    /// Raw pieces for checkpointing, per shard in index order. Takes
+    /// `&mut self` — the checkpointing caller holds the round's slot write
+    /// lock, so shard access is exclusive and lock-free here.
+    fn snapshot_shards(&mut self) -> Vec<ShardSnapshot<'_>>;
+
+    /// Rebuilds one shard from checkpointed pieces; `Err` on any size that
+    /// does not match this population/shard geometry.
+    fn restore_shard(
+        &mut self,
+        shard_idx: usize,
+        accepted: u64,
+        duplicates: u64,
+        seen_words: Vec<u64>,
+        floats: Vec<f64>,
+        words: Vec<u64>,
+    ) -> Result<(), &'static str>;
+}
+
+impl<K: ShardKind> ShardSet for Shards<K> {
+    fn accepted(&self) -> u64 {
+        self.shards.iter().map(|s| lock(s).accepted).sum()
     }
 
+    fn duplicates(&self) -> u64 {
+        self.shards.iter().map(|s| lock(s).duplicates).sum()
+    }
+
+    fn snapshot_shards(&mut self) -> Vec<ShardSnapshot<'_>> {
+        self.shards
+            .iter_mut()
+            .map(|m| {
+                let s = inner_mut(m);
+                (
+                    s.accepted,
+                    s.duplicates,
+                    s.seen.words(),
+                    &s.floats[..],
+                    &s.words[..],
+                )
+            })
+            .collect()
+    }
+
+    fn restore_shard(
+        &mut self,
+        shard_idx: usize,
+        accepted: u64,
+        duplicates: u64,
+        seen_words: Vec<u64>,
+        floats: Vec<f64>,
+        words: Vec<u64>,
+    ) -> Result<(), &'static str> {
+        let shard = self
+            .shards
+            .get_mut(shard_idx)
+            .map(inner_mut)
+            .ok_or("shard index out of range")?;
+        if seen_words.len() != shard.seen.words().len() {
+            return Err("seen bitmap size mismatch");
+        }
+        if floats.len() != shard.floats.len() {
+            return Err("degree or group sum count mismatch");
+        }
+        if words.len() != shard.words.len() {
+            return Err("row storage size mismatch");
+        }
+        shard.seen.words_mut().copy_from_slice(&seen_words);
+        shard.seen.mask_tail();
+        shard.floats = floats;
+        shard.words = words;
+        shard.accepted = accepted;
+        shard.duplicates = duplicates;
+        Ok(())
+    }
+}
+
+impl Shards<Adjacency> {
     /// Merges the shards into one lower-triangle matrix plus the
     /// reported-degree vector (deterministic: a straight copy of disjoint
     /// rows). The shard set is consumed; finalize the result with
@@ -193,12 +347,13 @@ impl AdjacencyShards {
         {
             let rows = matrix.rows_mut(0, n);
             for (s, shard) in self.shards.into_iter().map(inner).enumerate() {
+                let offsets = &shard.kind.offsets;
                 let mut id = s;
                 let mut slot = 0;
                 while id < n {
-                    let owned = &shard.words[shard.offsets[slot]..shard.offsets[slot + 1]];
+                    let owned = &shard.words[offsets[slot]..offsets[slot + 1]];
                     rows[id * wpr..id * wpr + owned.len()].copy_from_slice(owned);
-                    degrees[id] = shard.degrees[slot];
+                    degrees[id] = shard.floats[slot];
                     id += stride;
                     slot += 1;
                 }
@@ -206,212 +361,21 @@ impl AdjacencyShards {
         }
         (matrix, degrees)
     }
-
-    /// Raw pieces for checkpointing, per shard in index order:
-    /// `(accepted, duplicates, seen words, degrees, row words)`. Takes
-    /// `&mut self` — the checkpointing caller holds the engine's write
-    /// lock, so shard access is exclusive and lock-free here.
-    pub(crate) fn snapshot_shards(
-        &mut self,
-    ) -> impl Iterator<Item = (u64, u64, &[u64], &[f64], &[u64])> {
-        self.shards.iter_mut().map(|m| {
-            let s = inner_mut(m);
-            (
-                s.accepted,
-                s.duplicates,
-                s.seen.words(),
-                &s.degrees[..],
-                &s.words[..],
-            )
-        })
-    }
-
-    /// Rebuilds one shard from checkpointed pieces; `Err` on any size that
-    /// does not match this population/shard geometry.
-    pub(crate) fn restore_shard(
-        &mut self,
-        shard_idx: usize,
-        accepted: u64,
-        duplicates: u64,
-        seen_words: Vec<u64>,
-        degrees: Vec<f64>,
-        words: Vec<u64>,
-    ) -> Result<(), &'static str> {
-        let shard = self
-            .shards
-            .get_mut(shard_idx)
-            .map(inner_mut)
-            .ok_or("shard index out of range")?;
-        if seen_words.len() != shard.seen.words().len() {
-            return Err("seen bitmap size mismatch");
-        }
-        if degrees.len() != shard.degrees.len() {
-            return Err("degree vector size mismatch");
-        }
-        if words.len() != shard.words.len() {
-            return Err("row storage size mismatch");
-        }
-        shard.seen.words_mut().copy_from_slice(&seen_words);
-        shard.seen.mask_tail();
-        shard.degrees = degrees;
-        shard.words = words;
-        shard.accepted = accepted;
-        shard.duplicates = duplicates;
-        Ok(())
-    }
 }
 
-/// The shard set of a degree-vector round: running per-group sums, one
-/// partial accumulator per shard, each behind its own mutex.
-#[derive(Debug)]
-pub(crate) struct DegreeVectorShards {
-    groups: usize,
-    shards: Vec<Mutex<DegreeVectorShard>>,
-}
-
-#[derive(Debug)]
-pub(crate) struct DegreeVectorShard {
-    seen: BitSet,
-    sums: Vec<f64>,
-    accepted: u64,
-    duplicates: u64,
-}
-
-impl DegreeVectorShard {
-    /// Folds one vector owned by this shard (`slot` = `user_id / stride`).
-    // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
-    // accepted vector; no further lock may be acquired here
-    fn fold(&mut self, slot: usize, vector: &[f64]) -> Result<(), ShardReject> {
-        if self.seen.get(slot) {
-            self.duplicates += 1;
-            return Err(ShardReject::Duplicate);
-        }
-        self.seen.set(slot);
-        for (acc, x) in self.sums.iter_mut().zip(vector) {
-            *acc += x;
-        }
-        self.accepted += 1;
-        Ok(())
-    }
-    // ldp-lint: hot-path(end)
-}
-
-impl DegreeVectorShards {
-    pub(crate) fn new(n: usize, groups: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        DegreeVectorShards {
-            groups,
-            shards: (0..num_shards)
-                .map(|s| {
-                    let slots = if n > s {
-                        (n - s).div_ceil(num_shards)
-                    } else {
-                        0
-                    };
-                    Mutex::new(DegreeVectorShard {
-                        seen: BitSet::new(slots),
-                        sums: vec![0.0; groups],
-                        accepted: 0,
-                        duplicates: 0,
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn groups(&self) -> usize {
-        self.groups
-    }
-
-    pub(crate) fn accepted(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).accepted).sum()
-    }
-
-    pub(crate) fn duplicates(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).duplicates).sum()
-    }
-
-    /// Folds one vector under its owning shard's lock. The caller
-    /// guarantees `user_id < n` and `vector.len() == groups`.
-    pub(crate) fn fold_one(&self, user_id: usize, vector: &[f64]) -> Result<(), ShardReject> {
-        let stride = self.shards.len();
-        lock(&self.shards[user_id % stride]).fold(user_id / stride, vector)
-    }
-
-    /// [`Self::fold_one`] with the shard-lock acquisition timed (see the
-    /// adjacency twin).
-    pub(crate) fn fold_one_timed(
-        &self,
-        user_id: usize,
-        vector: &[f64],
-    ) -> (Result<(), ShardReject>, u64) {
-        let stride = self.shards.len();
-        let begin = std::time::Instant::now();
-        let mut shard = lock(&self.shards[user_id % stride]);
-        let wait_nanos = begin.elapsed().as_nanos() as u64;
-        (shard.fold(user_id / stride, vector), wait_nanos)
-    }
-
+impl Shards<DegreeVectors> {
     /// Per-group totals: shard partials summed in shard order
     /// (deterministic for a fixed shard count and per-shard arrival order).
-    pub(crate) fn group_totals(&self) -> Vec<f64> {
-        let mut totals = vec![0.0f64; self.groups];
-        for shard in &self.shards {
-            let shard = lock(shard);
-            for (t, s) in totals.iter_mut().zip(&shard.sums) {
+    pub(crate) fn group_totals(self) -> Vec<f64> {
+        let mut totals = Vec::new();
+        for shard in self.shards.into_iter().map(inner) {
+            // Every shard holds the round's `groups` sums.
+            totals.resize(shard.floats.len(), 0.0f64);
+            for (t, s) in totals.iter_mut().zip(&shard.floats) {
                 *t += s;
             }
         }
         totals
-    }
-
-    /// Raw pieces for checkpointing, per shard in index order. `&mut
-    /// self` for the same exclusivity argument as the adjacency twin.
-    pub(crate) fn snapshot_shards(
-        &mut self,
-    ) -> impl Iterator<Item = (u64, u64, &[u64], &[f64], &[u64])> {
-        self.shards.iter_mut().map(|m| {
-            let s = inner_mut(m);
-            (
-                s.accepted,
-                s.duplicates,
-                s.seen.words(),
-                &s.sums[..],
-                &[][..],
-            )
-        })
-    }
-
-    /// Rebuilds one shard from checkpointed pieces.
-    pub(crate) fn restore_shard(
-        &mut self,
-        shard_idx: usize,
-        accepted: u64,
-        duplicates: u64,
-        seen_words: Vec<u64>,
-        sums: Vec<f64>,
-        words: Vec<u64>,
-    ) -> Result<(), &'static str> {
-        let shard = self
-            .shards
-            .get_mut(shard_idx)
-            .map(inner_mut)
-            .ok_or("shard index out of range")?;
-        if seen_words.len() != shard.seen.words().len() {
-            return Err("seen bitmap size mismatch");
-        }
-        if sums.len() != shard.sums.len() {
-            return Err("group sum size mismatch");
-        }
-        if !words.is_empty() {
-            return Err("degree-vector shards carry no row words");
-        }
-        shard.seen.words_mut().copy_from_slice(&seen_words);
-        shard.seen.mask_tail();
-        shard.sums = sums;
-        shard.accepted = accepted;
-        shard.duplicates = duplicates;
-        Ok(())
     }
 }
 
@@ -438,9 +402,13 @@ mod tests {
             .collect()
     }
 
-    fn fold_all(shards: &AdjacencyShards, batch: &[(u64, AdjacencyReport)]) {
+    fn adjacency(n: usize, num_shards: usize) -> Shards<Adjacency> {
+        Shards::new(n, num_shards, ())
+    }
+
+    fn fold_all(shards: &Shards<Adjacency>, batch: &[(u64, AdjacencyReport)]) {
         for (id, report) in batch {
-            let _ = shards.fold_one(*id as usize, report);
+            shards.fold_one(*id as usize, report, false);
         }
     }
 
@@ -455,7 +423,7 @@ mod tests {
         let reference = agg.finalize();
 
         for num_shards in [1, 3, 8, 64] {
-            let shards = AdjacencyShards::new(n, num_shards);
+            let shards = adjacency(n, num_shards);
             // Reverse arrival order, in two batches.
             let mut batch: Vec<(u64, AdjacencyReport)> = reports
                 .iter()
@@ -480,9 +448,9 @@ mod tests {
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
         let reports = synth_reports(n, 0xFEED);
 
-        let sequential = AdjacencyShards::new(n, 8);
+        let sequential = adjacency(n, 8);
         for (i, r) in reports.iter().enumerate() {
-            sequential.fold_one(i, r).unwrap();
+            assert!(sequential.fold_one(i, r, false).0);
         }
         let (matrix, degrees) = sequential.merge();
         let reference = finalize_lower(matrix, degrees, rr, 1);
@@ -490,7 +458,7 @@ mod tests {
         // Four threads racing interleaved id slices (i % 4 == t) into the
         // same shard set — plus every thread replaying thread 0's slice,
         // so duplicate races hit the seen-bitmaps from all sides.
-        let concurrent = AdjacencyShards::new(n, 8);
+        let concurrent = adjacency(n, 8);
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let shards = &concurrent;
@@ -498,7 +466,8 @@ mod tests {
                 scope.spawn(move || {
                     for (i, r) in reports.iter().enumerate() {
                         if i % 4 == t || i % 4 == 0 {
-                            let _ = shards.fold_one(i, r);
+                            // Timed on some threads: the same fold.
+                            shards.fold_one(i, r, t % 2 == 1);
                         }
                     }
                 });
@@ -517,13 +486,16 @@ mod tests {
     fn duplicates_are_rejected_not_refolded() {
         let n = 40;
         let reports = synth_reports(n, 7);
-        let shards = AdjacencyShards::new(n, 4);
+        let shards = adjacency(n, 4);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_one(i, r).unwrap();
+            assert!(shards.fold_one(i, r, false).0);
         }
-        // Replay half the population with different contents.
+        // Replay half the population with different contents; a timed
+        // fold reports its lock wait, an untimed one does not.
         for (i, r) in synth_reports(n, 8).iter().enumerate().take(n / 2) {
-            assert_eq!(shards.fold_one(i, r), Err(ShardReject::Duplicate));
+            let (folded, lock_wait) = shards.fold_one(i, r, i % 2 == 0);
+            assert!(!folded);
+            assert_eq!(lock_wait.is_some(), i % 2 == 0);
         }
         assert_eq!(shards.accepted(), n as u64);
         assert_eq!(shards.duplicates(), (n / 2) as u64);
@@ -541,15 +513,12 @@ mod tests {
     fn degree_vector_totals_accumulate() {
         let n = 10;
         let k = 3;
-        let shards = DegreeVectorShards::new(n, k, 4);
+        let shards = Shards::<DegreeVectors>::new(n, 4, k);
         for i in 0..n as u64 {
-            shards.fold_one(i as usize, &[1.0, 2.0, i as f64]).unwrap();
+            assert!(shards.fold_one(i as usize, &[1.0, 2.0, i as f64], false).0);
         }
         // A duplicate upload changes nothing.
-        assert_eq!(
-            shards.fold_one(3, &[100.0, 100.0, 100.0]),
-            Err(ShardReject::Duplicate)
-        );
+        assert!(!shards.fold_one(3, &[100.0, 100.0, 100.0], false).0);
         assert_eq!(shards.accepted(), 10);
         assert_eq!(shards.duplicates(), 1);
         let totals = shards.group_totals();
@@ -560,7 +529,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_populations() {
-        let shards = AdjacencyShards::new(0, 8);
+        let shards = adjacency(0, 8);
         assert_eq!(shards.accepted(), 0);
         let (matrix, degrees) = shards.merge();
         assert_eq!(matrix.num_nodes(), 0);
@@ -569,9 +538,9 @@ mod tests {
         // More shards than users.
         let n = 3;
         let reports = synth_reports(n, 1);
-        let shards = AdjacencyShards::new(n, 16);
+        let shards = adjacency(n, 16);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_one(i, r).unwrap();
+            assert!(shards.fold_one(i, r, false).0);
         }
         assert_eq!(shards.accepted(), 3);
     }
